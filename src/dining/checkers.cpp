@@ -47,29 +47,39 @@ std::size_t ExclusionReport::violations_after(Time t) const {
   return n;
 }
 
+void ExclusionState::apply(const TraceEvent& e, std::vector<ExclusionViolation>& out) {
+  switch (e.kind) {
+    case TraceEventKind::kStartEating: {
+      adj_.for_each_neighbor(e.process, [&](ProcessId q) {
+        if (eating_[static_cast<std::size_t>(q)] != 0) {
+          out.push_back(ExclusionViolation{e.at, e.process, q});
+        }
+      });
+      std::uint8_t& flag = eating_[static_cast<std::size_t>(e.process)];
+      eating_count_ += flag == 0 ? 1 : 0;
+      flag = 1;
+      break;
+    }
+    case TraceEventKind::kStopEating:
+    case TraceEventKind::kCrashed: {
+      // A process outside the graph never started eating.
+      const auto i = static_cast<std::size_t>(e.process);
+      if (i < eating_.size() && eating_[i] != 0) {
+        eating_[i] = 0;
+        --eating_count_;
+      }
+      break;
+    }
+    default:
+      adj_.apply(e);  // only the edge-churn kinds change anything
+      break;
+  }
+}
+
 ExclusionReport check_exclusion(const Trace& trace, const ConflictGraph& g) {
   ExclusionReport report;
-  DynamicAdjacency adj(g);
-  std::unordered_set<ProcessId> eating;
-  for (const TraceEvent& e : trace.events()) {
-    switch (e.kind) {
-      case TraceEventKind::kStartEating:
-        adj.for_each_neighbor(e.process, [&](ProcessId q) {
-          if (eating.count(q) != 0) {
-            report.violations.push_back(ExclusionViolation{e.at, e.process, q});
-          }
-        });
-        eating.insert(e.process);
-        break;
-      case TraceEventKind::kStopEating:
-      case TraceEventKind::kCrashed:
-        eating.erase(e.process);
-        break;
-      default:
-        adj.apply(e);  // only the edge-churn kinds change anything
-        break;
-    }
-  }
+  ExclusionState state(g);
+  for (const TraceEvent& e : trace.events()) state.apply(e, report.violations);
   return report;
 }
 

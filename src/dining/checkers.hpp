@@ -98,6 +98,27 @@ struct ExclusionReport {
   [[nodiscard]] std::size_t violations_after(Time t) const;
 };
 
+/// The ◇WX state machine, one trace event at a time: the overlaid
+/// adjacency plus one eating flag per process of the initial graph.
+/// `check_exclusion` (post-hoc) and obs::ExclusionMonitor (online) both
+/// run this one object, so their violation lists agree elementwise.
+class ExclusionState {
+ public:
+  explicit ExclusionState(const ekbd::graph::ConflictGraph& g)
+      : adj_(g), eating_(g.size(), 0) {}
+
+  /// Apply one event, appending every violation it reveals to `out`.
+  void apply(const TraceEvent& e, std::vector<ExclusionViolation>& out);
+
+  /// Processes currently eating.
+  [[nodiscard]] std::size_t eating_now() const { return eating_count_; }
+
+ private:
+  DynamicAdjacency adj_;
+  std::vector<std::uint8_t> eating_;
+  std::size_t eating_count_ = 0;
+};
+
 /// Scan the trace for pairs of adjacent processes eating simultaneously.
 /// Each violation is counted once, at the moment the overlap begins.
 ExclusionReport check_exclusion(const Trace& trace, const ekbd::graph::ConflictGraph& g);

@@ -1,9 +1,7 @@
 #include "dining/trace.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <unordered_map>
 
 namespace ekbd::dining {
 
@@ -71,40 +69,51 @@ std::string Trace::to_string(std::size_t max_events) const {
 }
 
 std::vector<HungrySession> hungry_sessions(const Trace& trace) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<HungrySession> out;
-  // Open session index per process (index into `out`), -1 if none.
-  std::unordered_map<ProcessId, std::size_t> open;
+  // Open session per process id (index into `out`), kNone if none.
+  std::vector<std::size_t> open;
+  const auto open_of = [&](ProcessId p) {
+    const auto i = static_cast<std::size_t>(p);
+    return i < open.size() ? open[i] : kNone;
+  };
 
   for (const TraceEvent& e : trace.events()) {
     switch (e.kind) {
       case TraceEventKind::kBecameHungry: {
+        assert(e.process >= 0);
+        // Trace::record keeps times nondecreasing, so pushing in trace
+        // order leaves `out` sorted by became_hungry.
+        assert(out.empty() || e.at >= out.back().became_hungry);
+        const auto i = static_cast<std::size_t>(e.process);
+        if (i >= open.size()) open.resize(i + 1, kNone);
+        open[i] = out.size();
         HungrySession s;
         s.process = e.process;
         s.became_hungry = e.at;
-        open[e.process] = out.size();
         out.push_back(s);
         break;
       }
       case TraceEventKind::kEnteredDoorway: {
-        auto it = open.find(e.process);
-        if (it != open.end()) out[it->second].entered_doorway = e.at;
+        const std::size_t idx = open_of(e.process);
+        if (idx != kNone) out[idx].entered_doorway = e.at;
         break;
       }
       case TraceEventKind::kStartEating: {
-        auto it = open.find(e.process);
-        if (it != open.end()) {
-          out[it->second].started_eating = e.at;
-          out[it->second].ended = e.at;
-          open.erase(it);
+        const std::size_t idx = open_of(e.process);
+        if (idx != kNone) {
+          out[idx].started_eating = e.at;
+          out[idx].ended = e.at;
+          open[static_cast<std::size_t>(e.process)] = kNone;
         }
         break;
       }
       case TraceEventKind::kCrashed: {
-        auto it = open.find(e.process);
-        if (it != open.end()) {
-          out[it->second].ended = e.at;
-          out[it->second].crashed_during = true;
-          open.erase(it);
+        const std::size_t idx = open_of(e.process);
+        if (idx != kNone) {
+          out[idx].ended = e.at;
+          out[idx].crashed_during = true;
+          open[static_cast<std::size_t>(e.process)] = kNone;
         }
         break;
       }
@@ -123,11 +132,9 @@ std::vector<HungrySession> hungry_sessions(const Trace& trace) {
   }
   // Clip sessions still hungry at the horizon.
   const Time horizon = trace.end_time();
-  for (auto& [p, idx] : open) out[idx].ended = horizon;
-
-  std::stable_sort(out.begin(), out.end(), [](const HungrySession& a, const HungrySession& b) {
-    return a.became_hungry < b.became_hungry;
-  });
+  for (const std::size_t idx : open) {
+    if (idx != kNone) out[idx].ended = horizon;
+  }
   return out;
 }
 

@@ -5,6 +5,25 @@
 
 namespace ekbd::obs {
 
+// -------------------------------------------------------------- EdgeIndex --
+
+EdgeIndex::EdgeIndex(const graph::ConflictGraph& g) {
+  const std::size_t n = g.size();
+  offsets_.reserve(n + 1);
+  offsets_.push_back(0);
+  entries_.reserve(2 * g.num_edges());
+  std::uint32_t next = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto a = static_cast<sim::ProcessId>(p);
+    for (const sim::ProcessId b : g.neighbors(a)) {  // already sorted
+      // Number each edge at its (lo, hi) entry; the (hi, lo) entry, in a
+      // later row, looks the number up.
+      entries_.push_back(Entry{b, a < b ? next++ : slot(b, a)});
+    }
+    offsets_.push_back(static_cast<std::uint32_t>(entries_.size()));
+  }
+}
+
 // -------------------------------------------------- ForkUniquenessMonitor --
 
 void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
@@ -13,7 +32,7 @@ void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
     case sim::LoggedEvent::Kind::kSend:
     case sim::LoggedEvent::Kind::kDuplicate: {
       ++fork_sends_;
-      int& n = in_transit_[edge_key(ev.from, ev.to)];
+      int& n = in_transit_.at(ev.from, ev.to);
       ++n;
       if (n > 1) violations_.push_back(Violation{ev.at, ev.from, ev.to, n});
       break;
@@ -22,7 +41,7 @@ void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
     case sim::LoggedEvent::Kind::kDrop:
     case sim::LoggedEvent::Kind::kLoss:
     case sim::LoggedEvent::Kind::kPartitionLoss:
-      --in_transit_[edge_key(ev.from, ev.to)];
+      --in_transit_.at(ev.from, ev.to);
       break;
     case sim::LoggedEvent::Kind::kTimer:
     case sim::LoggedEvent::Kind::kCrash:
@@ -32,41 +51,15 @@ void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
 }
 
 int ForkUniquenessMonitor::in_transit(sim::ProcessId a, sim::ProcessId b) const {
-  const auto it = in_transit_.find(edge_key(a, b));
-  return it == in_transit_.end() ? 0 : it->second;
-}
-
-// ------------------------------------------------------- ExclusionMonitor --
-
-void ExclusionMonitor::on_trace_event(const dining::TraceEvent& ev) {
-  // The exact state machine of dining::check_exclusion, one event at a
-  // time — elementwise agreement with the post-hoc checker depends on the
-  // two staying transcriptions of each other.
-  switch (ev.kind) {
-    case dining::TraceEventKind::kStartEating: {
-      adj_.for_each_neighbor(ev.process, [&](const sim::ProcessId q) {
-        if (eating_.count(q) != 0) {
-          violations_.push_back(dining::ExclusionViolation{ev.at, ev.process, q});
-        }
-      });
-      eating_.insert(ev.process);
-      break;
-    }
-    case dining::TraceEventKind::kStopEating:
-    case dining::TraceEventKind::kCrashed:
-      eating_.erase(ev.process);
-      break;
-    default:
-      adj_.apply(ev);  // edge churn moves the adjacency overlay
-      break;
-  }
+  const int* n = in_transit_.find(a, b);
+  return n == nullptr ? 0 : *n;
 }
 
 // ---------------------------------------------------- ChannelBoundMonitor --
 
 void ChannelBoundMonitor::on_high_water(sim::MsgLayer layer, sim::ProcessId from,
                                         sim::ProcessId to, int in_transit, sim::Time at) {
-  maxima_[static_cast<int>(layer)][edge_key(from, to)] = in_transit;
+  maxima_.at(from, to)[static_cast<std::size_t>(layer)] = in_transit;
   if (layer == sim::MsgLayer::kDining && in_transit > kDiningBound) {
     violations_.push_back(Violation{layer, from, to, in_transit, at});
   }
@@ -74,16 +67,15 @@ void ChannelBoundMonitor::on_high_water(sim::MsgLayer layer, sim::ProcessId from
 
 int ChannelBoundMonitor::max_in_transit(sim::MsgLayer layer, sim::ProcessId a,
                                         sim::ProcessId b) const {
-  const auto& m = maxima_[static_cast<int>(layer)];
-  const auto it = m.find(edge_key(a, b));
-  return it == m.end() ? 0 : it->second;
+  const auto* m = maxima_.find(a, b);
+  return m == nullptr ? 0 : (*m)[static_cast<std::size_t>(layer)];
 }
 
 int ChannelBoundMonitor::max_in_transit_any(sim::MsgLayer layer) const {
   int best = 0;
-  for (const auto& [key, v] : maxima_[static_cast<int>(layer)]) {
-    if (v > best) best = v;
-  }
+  maxima_.for_each([&](const std::array<int, sim::kNumMsgLayers>& m) {
+    best = std::max(best, m[static_cast<std::size_t>(layer)]);
+  });
   return best;
 }
 
@@ -91,22 +83,29 @@ int ChannelBoundMonitor::max_in_transit_any(sim::MsgLayer layer) const {
 
 void QuiescenceMonitor::on_send(sim::MsgLayer layer, sim::ProcessId to, sim::Time at,
                                 bool target_crashed) {
-  PerTarget& pt = per_target_[static_cast<int>(layer)][to];
+  const auto i = static_cast<std::size_t>(to);
+  Books& books = i < dense_.size() ? dense_[i] : spill_[to];
+  PerTarget& pt = books[static_cast<std::size_t>(layer)];
   pt.last_send = at;
   if (target_crashed) ++pt.after_crash;
 }
 
+const QuiescenceMonitor::Books* QuiescenceMonitor::find(sim::ProcessId target) const {
+  const auto i = static_cast<std::size_t>(target);
+  if (i < dense_.size()) return &dense_[i];
+  const auto it = spill_.find(target);
+  return it == spill_.end() ? nullptr : &it->second;
+}
+
 sim::Time QuiescenceMonitor::last_send_to(sim::ProcessId target, sim::MsgLayer layer) const {
-  const auto& m = per_target_[static_cast<int>(layer)];
-  const auto it = m.find(target);
-  return it == m.end() ? -1 : it->second.last_send;
+  const Books* books = find(target);
+  return books == nullptr ? -1 : (*books)[static_cast<std::size_t>(layer)].last_send;
 }
 
 std::uint64_t QuiescenceMonitor::sends_to_crashed(sim::ProcessId target,
                                                   sim::MsgLayer layer) const {
-  const auto& m = per_target_[static_cast<int>(layer)];
-  const auto it = m.find(target);
-  return it == m.end() ? 0 : it->second.after_crash;
+  const Books* books = find(target);
+  return books == nullptr ? 0 : (*books)[static_cast<std::size_t>(layer)].after_crash;
 }
 
 // ------------------------------------------------------------- MonitorHub --

@@ -21,12 +21,19 @@
 ///
 /// Monitors observe and never mutate: none of them re-enters the
 /// simulator, the network or the trace.
+///
+/// The rt collector feeds every merged record through these hooks on one
+/// thread, so their state is dense: per process id (exclusion,
+/// quiescence) and per edge of the graph the monitor was built with
+/// (forks, channels, through an EdgeIndex). Only pairs outside that
+/// graph pay for a hash lookup.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dining/checkers.hpp"
@@ -36,6 +43,75 @@
 #include "sim/network.hpp"
 
 namespace ekbd::obs {
+
+/// Dense numbering of the undirected edges of one graph: a CSR copy taken
+/// at construction, never a pointer to a live graph. `slot(a, b)` names
+/// the edge {a, b} in either direction by a number in [0, num_slots()),
+/// or kNoSlot for a pair outside the graph: churn-added edges, an
+/// external kNoProcess sender, ids past n.
+class EdgeIndex {
+ public:
+  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+  explicit EdgeIndex(const graph::ConflictGraph& g);
+
+  [[nodiscard]] std::uint32_t slot(sim::ProcessId a, sim::ProcessId b) const {
+    const auto row = static_cast<std::size_t>(a);
+    if (row >= offsets_.size() - 1) return kNoSlot;  // also catches a < 0
+    const auto first = entries_.begin() + offsets_[row];
+    const auto last = entries_.begin() + offsets_[row + 1];
+    const auto it = std::lower_bound(
+        first, last, b, [](const Entry& e, sim::ProcessId q) { return e.nbr < q; });
+    return it != last && it->nbr == b ? it->slot : kNoSlot;
+  }
+  [[nodiscard]] std::size_t num_slots() const { return entries_.size() / 2; }
+
+ private:
+  struct Entry {
+    sim::ProcessId nbr;  ///< sorted within a row
+    std::uint32_t slot;  ///< kept beside nbr: one cache line per lookup
+  };
+  std::vector<std::uint32_t> offsets_;  ///< row starts, n + 1 entries
+  std::vector<Entry> entries_;
+};
+
+/// One `T` per undirected pair: a dense slot per edge of the initial
+/// graph, and one hash-map spill for every other pair.
+template <typename T>
+class EdgeTable {
+ public:
+  explicit EdgeTable(const graph::ConflictGraph& g) : index_(g), dense_(index_.num_slots()) {}
+
+  /// The pair's value, value-initialized on first touch.
+  T& at(sim::ProcessId a, sim::ProcessId b) {
+    const std::uint32_t s = index_.slot(a, b);
+    return s != EdgeIndex::kNoSlot ? dense_[s] : spill_[key(a, b)];
+  }
+  /// The pair's value, or nullptr if a spilled pair was never touched.
+  [[nodiscard]] const T* find(sim::ProcessId a, sim::ProcessId b) const {
+    const std::uint32_t s = index_.slot(a, b);
+    if (s != EdgeIndex::kNoSlot) return &dense_[s];
+    const auto it = spill_.find(key(a, b));
+    return it == spill_.end() ? nullptr : &it->second;
+  }
+  /// Visit every value: each edge slot (touched or not), then the spill.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const T& v : dense_) fn(v);
+    for (const auto& [k, v] : spill_) fn(v);
+  }
+
+ private:
+  static std::uint64_t key(sim::ProcessId a, sim::ProcessId b) {
+    const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
+    const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
+    return (lo << 32) | hi;
+  }
+
+  EdgeIndex index_;
+  std::vector<T> dense_;
+  std::unordered_map<std::uint64_t, T> spill_;
+};
 
 /// P1: per undirected edge, at most one core::Fork in transit. Counts
 /// fork sends/deliveries from the logged event stream; a second fork
@@ -49,6 +125,9 @@ class ForkUniquenessMonitor final : public sim::EventSink {
     int in_transit = 0;  ///< forks in flight on the edge after the send
   };
 
+  /// `g` is the initial graph; forks on churn-added edges count too.
+  explicit ForkUniquenessMonitor(const graph::ConflictGraph& g) : in_transit_(g) {}
+
   void on_event(const sim::LoggedEvent& ev) override;
 
   [[nodiscard]] const std::vector<Violation>& violations() const { return violations_; }
@@ -57,39 +136,34 @@ class ForkUniquenessMonitor final : public sim::EventSink {
   [[nodiscard]] std::uint64_t fork_sends() const { return fork_sends_; }
 
  private:
-  static std::uint64_t edge_key(sim::ProcessId a, sim::ProcessId b) {
-    const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-    const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-    return (lo << 32) | hi;
-  }
-
-  std::map<std::uint64_t, int> in_transit_;
+  EdgeTable<int> in_transit_;
   std::vector<Violation> violations_;
   std::uint64_t fork_sends_ = 0;
 };
 
-/// P2 (◇WX): streaming transcription of dining::check_exclusion — same
-/// state machine, same violation records, fed one trace event at a time.
-/// `report()` must equal check_exclusion's output elementwise on the
+/// P2 (◇WX): streaming transcription of dining::check_exclusion — both
+/// run one dining::ExclusionState, fed one trace event at a time.
+/// `violations()` must equal check_exclusion's output elementwise on the
 /// finished trace (the agreement check asserts exactly that).
 class ExclusionMonitor final : public dining::TraceObserver {
  public:
   /// `g` is the *initial* graph; edge churn arrives as kEdgeAdded /
   /// kEdgeRemoved trace events and moves the same DynamicAdjacency
   /// overlay check_exclusion uses, so the two stay transcriptions.
-  explicit ExclusionMonitor(const graph::ConflictGraph& g) : adj_(g) {}
+  explicit ExclusionMonitor(const graph::ConflictGraph& g) : state_(g) {}
 
-  void on_trace_event(const dining::TraceEvent& ev) override;
+  void on_trace_event(const dining::TraceEvent& ev) override {
+    state_.apply(ev, violations_);
+  }
 
   [[nodiscard]] const std::vector<dining::ExclusionViolation>& violations() const {
     return violations_;
   }
   /// Processes currently eating (monitor's live view).
-  [[nodiscard]] std::size_t eating_now() const { return eating_.size(); }
+  [[nodiscard]] std::size_t eating_now() const { return state_.eating_now(); }
 
  private:
-  dining::DynamicAdjacency adj_;
-  std::set<sim::ProcessId> eating_;
+  dining::ExclusionState state_;
   std::vector<dining::ExclusionViolation> violations_;
 };
 
@@ -110,6 +184,10 @@ class ChannelBoundMonitor final {
   /// The §7 bound for the dining layer.
   static constexpr int kDiningBound = 4;
 
+  /// `g` is the initial graph; other pairs (churn, external senders)
+  /// are tracked too.
+  explicit ChannelBoundMonitor(const graph::ConflictGraph& g) : maxima_(g) {}
+
   void on_high_water(sim::MsgLayer layer, sim::ProcessId from, sim::ProcessId to,
                      int in_transit, sim::Time at);
 
@@ -121,13 +199,7 @@ class ChannelBoundMonitor final {
   [[nodiscard]] const std::vector<Violation>& violations() const { return violations_; }
 
  private:
-  static std::uint64_t edge_key(sim::ProcessId a, sim::ProcessId b) {
-    const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-    const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-    return (lo << 32) | hi;
-  }
-
-  std::map<std::uint64_t, int> maxima_[sim::kNumMsgLayers];
+  EdgeTable<std::array<int, sim::kNumMsgLayers>> maxima_;
   std::vector<Violation> violations_;
 };
 
@@ -135,6 +207,9 @@ class ChannelBoundMonitor final {
 /// time and number of post-crash sends per (layer, target).
 class QuiescenceMonitor final {
  public:
+  /// Books for processes 0..n-1; other targets go to a spill map.
+  explicit QuiescenceMonitor(std::size_t n) : dense_(n) {}
+
   void on_send(sim::MsgLayer layer, sim::ProcessId to, sim::Time at, bool target_crashed);
 
   [[nodiscard]] sim::Time last_send_to(sim::ProcessId target, sim::MsgLayer layer) const;
@@ -146,7 +221,12 @@ class QuiescenceMonitor final {
     sim::Time last_send = -1;
     std::uint64_t after_crash = 0;
   };
-  std::map<sim::ProcessId, PerTarget> per_target_[sim::kNumMsgLayers];
+  using Books = std::array<PerTarget, sim::kNumMsgLayers>;
+
+  [[nodiscard]] const Books* find(sim::ProcessId target) const;
+
+  std::vector<Books> dense_;
+  std::unordered_map<sim::ProcessId, Books> spill_;
 };
 
 /// One object wearing all three observer hats, fanning out to the four
@@ -161,7 +241,8 @@ class MonitorHub final : public sim::EventSink,
                          public sim::NetworkWatch,
                          public dining::TraceObserver {
  public:
-  explicit MonitorHub(const graph::ConflictGraph& g) : exclusion_(g) {}
+  explicit MonitorHub(const graph::ConflictGraph& g)
+      : forks_(g), exclusion_(g), channels_(g), quiescence_(g.size()) {}
 
   // EventSink
   void on_event(const sim::LoggedEvent& ev) override { forks_.on_event(ev); }

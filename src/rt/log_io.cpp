@@ -224,32 +224,4 @@ void rebuild(const Recording& rec, obs::MonitorHub& hub, sim::Network& net,
   net.set_watch(nullptr);
 }
 
-// -- segment merging -------------------------------------------------------
-
-std::size_t merge_segments(std::vector<SegmentPool>& pools, std::int64_t horizon,
-                           const std::function<void(const SegmentRecord&)>& apply) {
-  std::size_t merged = 0;
-  for (;;) {
-    std::size_t best = pools.size();
-    for (std::size_t i = 0; i < pools.size(); ++i) {
-      const SegmentPool& pool = pools[i];
-      if (pool.head >= pool.recs.size()) continue;
-      const SegmentRecord& r = pool.recs[pool.head];
-      if (r.key > horizon) continue;  // pools are key-sorted: the rest waits too
-      if (best == pools.size()) {
-        best = i;
-        continue;
-      }
-      const SegmentRecord& b = pools[best].recs[pools[best].head];
-      if (r.key < b.key || (r.key == b.key && r.merge_class() < b.merge_class())) best = i;
-    }
-    if (best == pools.size()) break;
-    SegmentPool& win = pools[best];
-    apply(win.recs[win.head]);
-    ++win.head;
-    ++merged;
-  }
-  return merged;
-}
-
 }  // namespace ekbd::rt

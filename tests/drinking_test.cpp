@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "dining/checkers.hpp"
@@ -203,6 +204,12 @@ struct DrinkSweep {
   std::uint64_t seed;
   double need_prob;
   std::size_t crashes;
+
+  // Without this gtest lists the parameter as a raw byte dump, which holds
+  // the address of `topology` and so differs between runs under ASLR.
+  friend std::ostream& operator<<(std::ostream& os, const DrinkSweep& s) {
+    return os << s.topology << "_n" << s.n << "_s" << s.seed << "_f" << s.crashes;
+  }
 };
 
 class DrinkingSweep : public ::testing::TestWithParam<DrinkSweep> {};

@@ -149,7 +149,9 @@ TEST(Heartbeat, NoSuspicionsInSynchronousCalm) {
   EXPECT_EQ(w.detector.total_false_suspicions(), 0u);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(w.detector.suspects(i, j));
+      if (i != j) {
+        EXPECT_FALSE(w.detector.suspects(i, j));
+      }
     }
   }
 }
@@ -189,7 +191,9 @@ TEST(Heartbeat, EventualAccuracyUnderPartialSynchrony) {
   // ...but accuracy was eventually restored and held.
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(w.detector.suspects(i, j)) << i << "->" << j;
+      if (i != j) {
+        EXPECT_FALSE(w.detector.suspects(i, j)) << i << "->" << j;
+      }
     }
   }
   EXPECT_LT(w.detector.last_retraction(), 200'000);
@@ -277,7 +281,9 @@ TEST(PingPong, NoSuspicionsInSynchronousCalm) {
   EXPECT_EQ(w.detector.total_false_suspicions(), 0u);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(w.detector.suspects(i, j));
+      if (i != j) {
+        EXPECT_FALSE(w.detector.suspects(i, j));
+      }
     }
   }
 }
@@ -320,7 +326,9 @@ TEST(PingPong, EventualAccuracyUnderPartialSynchrony) {
   EXPECT_GT(w.detector.total_false_suspicions(), 0u);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(w.detector.suspects(i, j)) << i << "->" << j;
+      if (i != j) {
+        EXPECT_FALSE(w.detector.suspects(i, j)) << i << "->" << j;
+      }
     }
   }
   EXPECT_LT(w.detector.last_retraction(), 200'000);
@@ -471,7 +479,9 @@ TEST(Accrual, NoSuspicionsInSynchronousCalm) {
   EXPECT_EQ(w.detector.total_false_suspicions(), 0u);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(w.detector.suspects(i, j));
+      if (i != j) {
+        EXPECT_FALSE(w.detector.suspects(i, j));
+      }
     }
   }
   // With regular arrivals, φ right after a heartbeat is tiny.
@@ -507,7 +517,9 @@ TEST(Accrual, EventualAccuracyUnderPartialSynchrony) {
   EXPECT_GT(w.detector.total_false_suspicions(), 0u);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(w.detector.suspects(i, j)) << i << "->" << j;
+      if (i != j) {
+        EXPECT_FALSE(w.detector.suspects(i, j)) << i << "->" << j;
+      }
     }
   }
   EXPECT_LT(w.detector.last_retraction(), 250'000);

@@ -73,7 +73,9 @@ TEST(Topology, CliqueShape) {
   EXPECT_EQ(g.max_degree(), 4u);
   for (ProcessId i = 0; i < 5; ++i) {
     for (ProcessId j = 0; j < 5; ++j) {
-      if (i != j) EXPECT_TRUE(g.adjacent(i, j));
+      if (i != j) {
+        EXPECT_TRUE(g.adjacent(i, j));
+      }
     }
   }
 }

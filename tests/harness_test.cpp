@@ -81,7 +81,9 @@ TEST(Harness, StopHungerDrainsToThinking) {
   for (auto* d : w.diners) EXPECT_TRUE(d->thinking());
   // No hunger events after the deadline.
   for (const auto& e : w.harness.trace().events()) {
-    if (e.kind == TraceEventKind::kBecameHungry) EXPECT_LT(e.at, 10'000);
+    if (e.kind == TraceEventKind::kBecameHungry) {
+      EXPECT_LT(e.at, 10'000);
+    }
   }
 }
 

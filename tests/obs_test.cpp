@@ -22,6 +22,7 @@
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
 #include "sim/event_log.hpp"
+#include "sim/network.hpp"
 
 namespace {
 
@@ -297,7 +298,9 @@ LoggedEvent fork_event(Kind kind, ekbd::sim::Time at, ekbd::sim::ProcessId from,
 }
 
 TEST(Monitors, ForkUniquenessFlagsTwoForksOnOneEdge) {
-  obs::ForkUniquenessMonitor m;
+  ekbd::graph::ConflictGraph g(4);
+  g.add_edge(0, 1);
+  obs::ForkUniquenessMonitor m(g);
   m.on_event(fork_event(Kind::kSend, 10, 0, 1));
   EXPECT_TRUE(m.violations().empty());
   EXPECT_EQ(m.in_transit(0, 1), 1);
@@ -351,7 +354,9 @@ TEST(Monitors, ExclusionMonitorMatchesPostHocCheckerOnHandBuiltTrace) {
 }
 
 TEST(Monitors, ChannelBoundMonitorFlagsDiningExcessOnly) {
-  obs::ChannelBoundMonitor m;
+  ekbd::graph::ConflictGraph g(2);
+  g.add_edge(0, 1);
+  obs::ChannelBoundMonitor m(g);
   m.on_high_water(MsgLayer::kDining, 0, 1, 4, 10);
   EXPECT_TRUE(m.violations().empty());  // 4 is the bound, not a breach
   m.on_high_water(MsgLayer::kDining, 1, 0, 5, 11);
@@ -367,7 +372,7 @@ TEST(Monitors, ChannelBoundMonitorFlagsDiningExcessOnly) {
 }
 
 TEST(Monitors, QuiescenceMonitorTracksLastSendAndPostCrashSends) {
-  obs::QuiescenceMonitor m;
+  obs::QuiescenceMonitor m(4);
   EXPECT_EQ(m.last_send_to(3, MsgLayer::kDining), -1);
   m.on_send(MsgLayer::kDining, 3, 100, /*target_crashed=*/false);
   m.on_send(MsgLayer::kDining, 3, 250, /*target_crashed=*/true);
@@ -376,6 +381,104 @@ TEST(Monitors, QuiescenceMonitorTracksLastSendAndPostCrashSends) {
   EXPECT_EQ(m.sends_to_crashed(3, MsgLayer::kDining), 1u);
   EXPECT_EQ(m.sends_to_crashed(3, MsgLayer::kDetector), 1u);
   EXPECT_EQ(m.sends_to_crashed(2, MsgLayer::kDining), 0u);
+}
+
+// -- monitors: pairs outside the initial graph ------------------------------
+//
+// The fork and channel monitors keep one dense slot per edge of the graph
+// they were built with; every other pair (a churn-added edge, an external
+// kNoProcess sender) lands in a spill map and must count all the same.
+
+TEST(Monitors, ForkUniquenessCountsForksOnPairsOutsideTheGraph) {
+  ekbd::graph::ConflictGraph g(3);  // path 0-1-2; {0, 2} joins by churn
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  obs::ForkUniquenessMonitor m(g);
+  m.on_event(fork_event(Kind::kSend, 10, 0, 2));
+  EXPECT_EQ(m.in_transit(2, 0), 1);
+  EXPECT_TRUE(m.violations().empty());
+  m.on_event(fork_event(Kind::kDuplicate, 11, 2, 0));
+  EXPECT_EQ(m.in_transit(0, 2), 2);
+  ASSERT_EQ(m.violations().size(), 1u);
+  EXPECT_EQ(m.violations()[0].at, 11);
+  EXPECT_EQ(m.violations()[0].a, 2);
+  EXPECT_EQ(m.violations()[0].b, 0);
+  EXPECT_EQ(m.violations()[0].in_transit, 2);
+  EXPECT_EQ(m.fork_sends(), 2u);
+  // The spill never leaks into the graph's own edges.
+  EXPECT_EQ(m.in_transit(0, 1), 0);
+  EXPECT_EQ(m.in_transit(1, 2), 0);
+  m.on_event(fork_event(Kind::kDeliver, 12, 0, 2));
+  m.on_event(fork_event(Kind::kLoss, 13, 2, 0));
+  EXPECT_EQ(m.in_transit(0, 2), 0);
+}
+
+TEST(Monitors, ChannelBoundTracksPairsOutsideTheGraphAndExternalSenders) {
+  ekbd::graph::ConflictGraph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  obs::ChannelBoundMonitor m(g);
+  m.on_high_water(MsgLayer::kDining, 2, 0, 3, 10);  // churn-added pair
+  EXPECT_EQ(m.max_in_transit(MsgLayer::kDining, 0, 2), 3);
+  EXPECT_EQ(m.max_in_transit(MsgLayer::kDining, 0, 1), 0);
+  EXPECT_EQ(m.max_in_transit_any(MsgLayer::kDining), 3);
+  m.on_high_water(MsgLayer::kDining, 0, 2, 5, 11);
+  ASSERT_EQ(m.violations().size(), 1u);
+  EXPECT_EQ(m.violations()[0].a, 0);
+  EXPECT_EQ(m.violations()[0].b, 2);
+  EXPECT_EQ(m.max_in_transit_any(MsgLayer::kDining), 5);
+  m.on_high_water(MsgLayer::kOther, ekbd::sim::kNoProcess, 1, 7, 12);
+  EXPECT_EQ(m.max_in_transit(MsgLayer::kOther, ekbd::sim::kNoProcess, 1), 7);
+  EXPECT_EQ(m.max_in_transit(MsgLayer::kOther, 1, ekbd::sim::kNoProcess), 7);
+  EXPECT_EQ(m.max_in_transit_any(MsgLayer::kOther), 7);
+  EXPECT_EQ(m.max_in_transit_any(MsgLayer::kDetector), 0);
+}
+
+TEST(Monitors, HubAgreesWithNetworkBooksOnPairsOutsideTheGraph) {
+  ekbd::graph::ConflictGraph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  obs::MonitorHub hub(g);
+  ekbd::sim::Network net;
+  net.set_watch(&hub);
+  net.logical_sent(0, 1, MsgLayer::kDining, 5, false);
+  net.logical_sent(0, 2, MsgLayer::kDining, 6, false);  // churn-added pair
+  net.logical_sent(2, 0, MsgLayer::kDining, 7, false);
+  net.logical_sent(ekbd::sim::kNoProcess, 1, MsgLayer::kOther, 8, false);
+  net.logical_delivered(0, 2, MsgLayer::kDining);
+  net.set_watch(nullptr);
+  EXPECT_EQ(hub.channels().max_in_transit(MsgLayer::kDining, 0, 2), 2);
+  EXPECT_EQ(hub.channels().max_in_transit_any(MsgLayer::kOther), 1);
+  EXPECT_EQ(hub.quiescence().last_send_to(1, MsgLayer::kOther), 8);
+  const ekbd::dining::Trace trace;
+  EXPECT_EQ(hub.agreement_failures(trace, g, net), "");
+}
+
+TEST(Monitors, ExclusionMonitorEatingNowFollowsStopAndCrash) {
+  ekbd::graph::ConflictGraph g(4);  // path 0-1-2-3
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  obs::ExclusionMonitor m(g);
+  using TK = ekbd::dining::TraceEventKind;
+  const auto feed = [&](ekbd::sim::Time at, ekbd::sim::ProcessId p, TK k) {
+    m.on_trace_event(ekbd::dining::TraceEvent{at, p, k});
+  };
+  feed(1, 0, TK::kStartEating);
+  feed(2, 2, TK::kStartEating);
+  EXPECT_EQ(m.eating_now(), 2u);
+  feed(3, 0, TK::kStopEating);
+  EXPECT_EQ(m.eating_now(), 1u);
+  feed(4, 0, TK::kStopEating);  // stopping twice clears nothing more
+  feed(5, 3, TK::kCrashed);     // a crash of a non-eater changes nothing
+  EXPECT_EQ(m.eating_now(), 1u);
+  feed(6, 2, TK::kCrashed);
+  EXPECT_EQ(m.eating_now(), 0u);
+  // A crashed eater no longer conflicts: its neighbor eats cleanly.
+  feed(7, 1, TK::kStartEating);
+  feed(8, 1, TK::kStartEating);  // a repeated start counts once
+  EXPECT_EQ(m.eating_now(), 1u);
+  EXPECT_TRUE(m.violations().empty());
 }
 
 // -- monitors wired into a real scenario ------------------------------------
