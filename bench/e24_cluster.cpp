@@ -100,7 +100,7 @@ Result run_condition(const std::string& condition, bool loss, bool crash, bool p
   // Physical datagrams: every layer's sends in the rebuilt books (the
   // detector layer rides raw, dining/other ride the ARQ as kTransport
   // segments when a transport is installed).
-  const sim::Network& net = s.network();
+  const sim::Network& net = s.books().network;
   for (int layer = 0; layer < sim::kNumMsgLayers; ++layer) {
     r.datagrams += net.total_sent(static_cast<MsgLayer>(layer));
   }

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,8 +60,6 @@ namespace {
       "                       hardware core; n = thread-per-actor)\n"
       "  --no-stream          rt engine: single-mutex direct recorder instead of\n"
       "                       the segmented streaming pipeline\n"
-      "  --stream-window T    rt engine: collector merge period in ticks\n"
-      "                       (default 50)\n"
       "  --log-cap N          rt engine: cap the recorded EventLog at N events\n"
       "                       (default 0 = unbounded; drops are counted)\n"
       "  --telemetry-every T  rt engine: live JSONL snapshot every T ticks\n"
@@ -202,19 +202,17 @@ void print_gantt(const dining::Trace& trace, const Config& cfg, int width) {
   }
 }
 
-// Property reports both engines can answer: works on Scenario and
-// RtScenario (same trace/checker surface; the network books differ only
-// in where they live).
-template <typename S>
-void print_reports(S& s, const Config& cfg, const sim::Network& net, sim::Time conv) {
+// Property reports every engine answers the same way, over its books.
+void print_reports(const scenario::Reports& s, const Config& cfg, sim::Time conv) {
+  const scenario::Books b = s.books();
   auto wf = s.wait_freedom(cfg.run_for / 4);
   auto ex = s.exclusion();
   auto census = s.census();
-  auto cp = dining::concurrency_profile(s.trace(), s.graph());
+  auto cp = dining::concurrency_profile(b.trace, b.graph);
 
   util::Table t({"metric", "value"});
   t.row().cell("meals").cell(static_cast<std::uint64_t>(
-      s.trace().count(dining::TraceEventKind::kStartEating)));
+      b.trace.count(dining::TraceEventKind::kStartEating)));
   t.row().cell("hungry sessions (total/completed)").cell(
       std::to_string(wf.sessions_total) + "/" + std::to_string(wf.sessions_completed));
   t.row().cell("starving processes").cell(static_cast<std::uint64_t>(wf.starving.size()));
@@ -228,12 +226,34 @@ void print_reports(S& s, const Config& cfg, const sim::Network& net, sim::Time c
   t.row().cell("max overtakes (after convergence)").cell(
       dining::max_overtakes(census, conv));
   t.row().cell("max dining msgs in transit per edge").cell(
-      net.max_in_transit_any(sim::MsgLayer::kDining));
+      b.network.max_in_transit_any(sim::MsgLayer::kDining));
   t.row().cell("mean concurrent eaters").cell(cp.mean_concurrent_eaters, 2);
   t.row().cell("dining / detector messages").cell(
-      std::to_string(net.total_sent(sim::MsgLayer::kDining)) + " / " +
-      std::to_string(net.total_sent(sim::MsgLayer::kDetector)));
+      std::to_string(b.network.total_sent(sim::MsgLayer::kDining)) + " / " +
+      std::to_string(b.network.total_sent(sim::MsgLayer::kDetector)));
   t.print();
+}
+
+void print_load_reports(const scenario::LoadScenario& s) {
+  const obs::Histogram lat = s.latency();
+  util::Table lt({"load metric", "value"});
+  lt.row().cell("offered / completed / dropped").cell(
+      std::to_string(s.book().offered()) + " / " + std::to_string(s.book().completed()) +
+      " / " + std::to_string(s.book().dropped()));
+  lt.row().cell("backlog high-water").cell(s.overload().backlog_high_water());
+  lt.row().cell("overloaded at horizon").cell(
+      std::string(s.overload().overloaded() ? "yes" : "no") + " (" +
+      std::to_string(s.overload().overloaded_samples()) + "/" +
+      std::to_string(s.overload().samples()) + " samples)");
+  lt.row().cell("churn planned / issued / skipped").cell(
+      std::to_string(s.churn_plan().ops.size()) + " / " + std::to_string(s.churn_issued()) +
+      " / " + std::to_string(s.churn_skipped()));
+  lt.row().cell("hungry->eat p50/p99/p999").cell(
+      std::to_string(static_cast<long long>(lat.quantile(0.50))) + "/" +
+      std::to_string(static_cast<long long>(lat.quantile(0.99))) + "/" +
+      std::to_string(static_cast<long long>(lat.quantile(0.999))) + " (" +
+      std::to_string(lat.count()) + " sessions)");
+  lt.print();
 }
 
 int dump_trace(const dining::Trace& trace, const std::string& dump_path) {
@@ -363,9 +383,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-stream") {
       cfg.rt_segmented_recorder = false;
       rt_only_flags.push_back(arg);
-    } else if (arg == "--stream-window") {
-      cfg.rt_stream_window = std::strtoull(next(), nullptr, 10);
-      rt_only_flags.push_back(arg);
     } else if (arg == "--log-cap") {
       cfg.rt_event_log_cap = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
       rt_only_flags.push_back(arg);
@@ -413,18 +430,6 @@ int main(int argc, char** argv) {
   const bool load_mode =
       load_rate_set || !arrivals_kind.empty() || churn > 0 || !recoveries.empty();
   if (load_mode) {
-    if (cfg.engine == scenario::Engine::kProc) {
-      std::fprintf(stderr,
-                   "--rate/--arrivals/--churn/--recover need --engine sim or rt "
-                   "(proc churn transport is pending, see ROADMAP)\n");
-      usage(argv[0]);
-    }
-    if (cfg.algorithm != Algorithm::kWaitFree) {
-      std::fprintf(stderr,
-                   "the workload harness drives the waitfree algorithm only "
-                   "(churn/rejoin are Algorithm-1 extensions)\n");
-      usage(argv[0]);
-    }
     if (!arrivals_kind.empty() && !load_rate_set) {
       std::fprintf(stderr, "--arrivals needs --rate\n");
       usage(argv[0]);
@@ -450,12 +455,6 @@ int main(int argc, char** argv) {
                 scenario::to_string(cfg.engine).c_str());
     cfg.detector = DetectorKind::kHeartbeat;
   }
-  if (cfg.engine == scenario::Engine::kProc &&
-      (cfg.detector == DetectorKind::kPingPong || cfg.detector == DetectorKind::kAccrual)) {
-    std::fprintf(stderr,
-                 "proc engine supports detectors heartbeat|perfect|none only\n");
-    return 2;
-  }
 
   std::printf("scenario: %s(%zu), engine=%s, algorithm=%s, detector=%s, seed=%llu, "
               "horizon=%lld\n",
@@ -465,6 +464,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cfg.seed),
               static_cast<long long>(cfg.run_for));
 
+  // Run on the selected engine; everything after the run reads the books.
+  // A Config the engine cannot run (scenario::validate) is a usage error.
+  const auto build = [&](auto make) {
+    try {
+      return make();
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      usage(argv[0]);
+    }
+  };
+  std::unique_ptr<scenario::Reports> run;
+  sim::Time conv = 0;       // FD convergence bound (sim engine only)
+  std::string replay;       // proc engine: replayed-verdict agreement
+  const scenario::LoadScenario* load = nullptr;
   if (load_mode) {
     scenario::LoadConfig lc;
     // --crash under the harness = a crash that never recovers; fold it
@@ -483,83 +496,41 @@ int main(int argc, char** argv) {
                 load::to_string(lc.arrivals.kind).c_str(), lc.arrivals.rate_per_kilotick,
                 lc.churn.mutations, lc.recoveries.size());
 
-    scenario::LoadScenario s(lc);
-    s.run();
-
-    if (Scenario* sim = s.sim_scenario()) {
-      print_reports(*sim, cfg, sim->sim().network(), sim->fd_convergence_estimate());
-    } else {
-      print_reports(*s.rt_scenario(), cfg, s.rt_scenario()->recorder().network(), 0);
-    }
-
-    const obs::Histogram lat = s.latency();
-    util::Table lt({"load metric", "value"});
-    lt.row().cell("offered / completed / dropped").cell(
-        std::to_string(s.book().offered()) + " / " + std::to_string(s.book().completed()) +
-        " / " + std::to_string(s.book().dropped()));
-    lt.row().cell("backlog high-water").cell(s.overload().backlog_high_water());
-    lt.row().cell("overloaded at horizon").cell(
-        std::string(s.overload().overloaded() ? "yes" : "no") + " (" +
-        std::to_string(s.overload().overloaded_samples()) + "/" +
-        std::to_string(s.overload().samples()) + " samples)");
-    lt.row().cell("churn planned / issued / skipped").cell(
-        std::to_string(s.churn_plan().ops.size()) + " / " + std::to_string(s.churn_issued()) +
-        " / " + std::to_string(s.churn_skipped()));
-    lt.row().cell("hungry->eat p50/p99/p999").cell(
-        std::to_string(static_cast<long long>(lat.quantile(0.50))) + "/" +
-        std::to_string(static_cast<long long>(lat.quantile(0.99))) + "/" +
-        std::to_string(static_cast<long long>(lat.quantile(0.999))) + " (" +
-        std::to_string(lat.count()) + " sessions)");
-    lt.print();
-
-    const std::string agreement = s.monitor_agreement();
-    if (agreement.empty()) {
-      std::printf("online monitors agree with post-hoc checkers\n");
-    } else {
-      std::printf("MONITOR DISAGREEMENT:\n%s\n", agreement.c_str());
-    }
-    if (gantt) print_gantt(s.trace(), cfg, gantt_width);
-    const int rc = dump_trace(s.trace(), dump_path);
-    return rc != 0 ? rc : (agreement.empty() ? 0 : 1);
-  }
-
-  if (cfg.engine == scenario::Engine::kProc) {
+    auto s = build([&] { return std::make_unique<scenario::LoadScenario>(lc); });
+    s->run();
+    if (Scenario* sim = s->sim_scenario()) conv = sim->fd_convergence_estimate();
+    load = s.get();
+    run = std::move(s);
+  } else if (cfg.engine == scenario::Engine::kProc) {
     // Must fork before any threads exist — keep this branch first-thing.
-    scenario::ProcScenario s(cfg);
-    s.run();
-    print_reports(s, cfg, s.network(), /*conv=*/0);
-    const std::string agreement = s.monitor_agreement();
-    const std::string replay = s.replay_agreement();
-    if (agreement.empty() && replay.empty()) {
-      std::printf("online monitors and replay agree with post-hoc checkers\n");
-    } else {
-      if (!agreement.empty()) std::printf("MONITOR DISAGREEMENT:\n%s\n", agreement.c_str());
-      if (!replay.empty()) std::printf("REPLAY DISAGREEMENT:\n%s\n", replay.c_str());
-    }
-    if (gantt) print_gantt(s.trace(), cfg, gantt_width);
-    const int rc = dump_trace(s.trace(), dump_path);
-    return rc != 0 ? rc : ((agreement.empty() && replay.empty()) ? 0 : 1);
-  }
-
-  if (cfg.engine == scenario::Engine::kRt) {
+    auto s = build([&] { return std::make_unique<scenario::ProcScenario>(cfg); });
+    s->run();
+    replay = s->replay_agreement();
+    run = std::move(s);
+  } else if (cfg.engine == scenario::Engine::kRt) {
     cfg.observability = true;  // live monitors are the point of an rt run
-    scenario::RtScenario s(cfg);
-    s.run();
-    print_reports(s, cfg, s.recorder().network(), /*conv=*/0);
-    const std::string agreement = s.monitor_agreement();
-    if (agreement.empty()) {
-      std::printf("online monitors agree with post-hoc checkers\n");
-    } else {
-      std::printf("MONITOR DISAGREEMENT:\n%s\n", agreement.c_str());
-    }
-    if (gantt) print_gantt(s.trace(), cfg, gantt_width);
-    const int rc = dump_trace(s.trace(), dump_path);
-    return rc != 0 ? rc : (agreement.empty() ? 0 : 1);
+    auto s = build([&] { return std::make_unique<scenario::RtScenario>(cfg); });
+    s->run();
+    run = std::move(s);
+  } else {
+    auto s = build([&] { return std::make_unique<Scenario>(cfg); });
+    s->run();
+    conv = s->fd_convergence_estimate();
+    run = std::move(s);
   }
+  print_reports(*run, cfg, conv);
+  if (load != nullptr) print_load_reports(*load);
 
-  Scenario s(cfg);
-  s.run();
-  print_reports(s, cfg, s.sim().network(), s.fd_convergence_estimate());
-  if (gantt) print_gantt(s.trace(), cfg, gantt_width);
-  return dump_trace(s.trace(), dump_path);
+  const scenario::Books books = run->books();
+  const std::string agreement = books.monitors != nullptr ? run->monitor_agreement() : "";
+  if (books.monitors != nullptr && agreement.empty() && replay.empty()) {
+    std::printf(cfg.engine == scenario::Engine::kProc
+                    ? "online monitors and replay agree with post-hoc checkers\n"
+                    : "online monitors agree with post-hoc checkers\n");
+  }
+  if (!agreement.empty()) std::printf("MONITOR DISAGREEMENT:\n%s\n", agreement.c_str());
+  if (!replay.empty()) std::printf("REPLAY DISAGREEMENT:\n%s\n", replay.c_str());
+  if (gantt) print_gantt(books.trace, cfg, gantt_width);
+  const int rc = dump_trace(books.trace, dump_path);
+  return rc != 0 ? rc : ((agreement.empty() && replay.empty()) ? 0 : 1);
 }

@@ -116,7 +116,6 @@ void ReliableTransport::transmit(ProcessId from, ProcessId to, EdgeTx& tx,
   std::uint64_t bits = 0;
   [[maybe_unused]] const bool packed = sim::pack_payload(pm.payload, tag, bits);
   assert(packed && "transported payloads must fit the 8-byte inline encoding");
-  assert(seq <= DataSegment::kMaxSeq && pm.logical_seq <= DataSegment::kMaxLogicalSeq);
   env_->physical_send(
       from, to,
       DataSegment{seq, pm.layer, pm.logical_seq, pm.logical_sent_at, tag, bits});

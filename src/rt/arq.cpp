@@ -31,15 +31,23 @@ bool RtArq::on_physical_deliver(const sim::Message& m) {
 
 std::uint64_t RtArq::book_logical_send(sim::ProcessId from, sim::ProcessId to,
                                        const sim::Payload& payload, sim::MsgLayer layer) {
-  return rt_.recorder().on_logical_send(from, to, sim::payload_tag(payload), layer,
-                                        rt_.now(), rt_.crashed(to));
+  const std::uint64_t seq = next_logical_seq_++;
+  recorder_seq_.emplace(seq, rt_.recorder().on_logical_send(from, to, sim::payload_tag(payload),
+                                                            layer, rt_.now(), rt_.crashed(to)));
+  return seq;
 }
 
 void RtArq::book_logical_drop(sim::ProcessId from, sim::ProcessId to,
                               const sim::Payload& payload, sim::MsgLayer layer,
                               std::uint64_t logical_seq) {
-  rt_.recorder().on_logical_drop(from, to, sim::payload_tag(payload), layer, logical_seq,
-                                 rt_.now());
+  rt_.recorder().on_logical_drop(from, to, sim::payload_tag(payload), layer,
+                                 take_recorder_seq(logical_seq), rt_.now());
+}
+
+std::uint64_t RtArq::take_recorder_seq(std::uint64_t seq) {
+  const std::uint64_t rec_seq = recorder_seq_.at(seq);
+  recorder_seq_.erase(seq);
+  return rec_seq;
 }
 
 void RtArq::physical_send(sim::ProcessId from, sim::ProcessId to,
@@ -52,8 +60,9 @@ void RtArq::physical_send(sim::ProcessId from, sim::ProcessId to,
 void RtArq::deliver_logical(sim::ProcessId from, sim::ProcessId to,
                             const sim::Payload& payload, sim::MsgLayer layer,
                             std::uint64_t logical_seq, sim::Time sent_at) {
-  const sim::Time t = rt_.recorder().on_logical_deliver(
-      from, to, sim::payload_tag(payload), layer, logical_seq, rt_.now());
+  const std::uint64_t rec_seq = take_recorder_seq(logical_seq);
+  const sim::Time t = rt_.recorder().on_logical_deliver(from, to, sim::payload_tag(payload),
+                                                        layer, rec_seq, rt_.now());
   // We are on `to`'s worker thread, inside the dispatch slot that popped
   // the physical segment: calling the actor directly preserves handler
   // atomicity, and `to`'s crash flag cannot flip mid-dispatch (crashes
@@ -64,7 +73,7 @@ void RtArq::deliver_logical(sim::ProcessId from, sim::ProcessId to,
   m.sent_at = sent_at;
   m.deliver_at = t;
   m.layer = layer;
-  m.seq = logical_seq;
+  m.seq = rec_seq;
   m.payload = payload;
   rt_.dispatch_logical(m);
 }

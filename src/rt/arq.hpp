@@ -23,14 +23,23 @@
 /// loss (the ARQ's own retransmission absorbs it). Lock order is strictly
 /// RtArq → Recorder; nothing acquires them the other way.
 ///
+/// Logical seqs: the ARQ numbers the logical messages itself (one
+/// counter, under mu_) and carries that number in the DataSegment. The
+/// recorder's own seq for the same message, which in streaming mode packs
+/// the segment id above bit 40 and cannot fit the segment's 30-bit field,
+/// stays here until the message is delivered or written off, and books
+/// both ends.
+///
 /// Timer discipline: every schedule_on call site in the ARQ runs on the
 /// owning edge's sender thread (logical_send on the sender's worker,
 /// ack handling and timer re-arms on the worker that owns the edge), so
 /// Runtime::call_after's owner-thread contract holds.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 
 #include "fd/detector.hpp"
 #include "net/arq_env.hpp"
@@ -81,9 +90,15 @@ class RtArq final : public sim::Transport, public net::ArqEnv {
   [[nodiscard]] const net::ReliableTransport& inner() const { return *inner_; }
 
  private:
+  /// The recorder's seq for ARQ logical seq `seq`, forgotten on return
+  /// (each logical message is delivered or written off exactly once).
+  std::uint64_t take_recorder_seq(std::uint64_t seq);
+
   Runtime& rt_;
   mutable std::recursive_mutex mu_;
   std::unique_ptr<net::ReliableTransport> inner_;
+  std::uint64_t next_logical_seq_ = 0;
+  std::unordered_map<std::uint64_t, std::uint64_t> recorder_seq_;  ///< ARQ seq → recorder seq
 };
 
 }  // namespace ekbd::rt

@@ -220,13 +220,14 @@ class Runtime final : public sim::TransportIface {
   /// sends on layers the transport covers divert to its logical_send, and
   /// popped MsgLayer::kTransport messages are offered to its
   /// on_physical_deliver before the actor sees them. Install before
-  /// start(); not owned; nullptr detaches. While a transport is installed,
+  /// start(); not owned; nullptr detaches (before start() or after the
+  /// join, never while workers run). While a transport is installed,
   /// raw_send never blocks on a full mailbox (the shim calls it while
   /// holding its own lock): the message is recorded as a congestion loss
   /// instead, and the ARQ's retransmission makes it good.
   void set_transport(sim::Transport* t) {
-    assert(!started_.load(std::memory_order_relaxed) &&
-           "install the transport before start()");
+    assert((!started_.load(std::memory_order_relaxed) || (t == nullptr && joined_)) &&
+           "install the transport before start(), detach it after the join");
     transport_ = t;
   }
   [[nodiscard]] sim::Transport* transport() const { return transport_; }

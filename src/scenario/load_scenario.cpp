@@ -1,22 +1,28 @@
 #include "scenario/load_scenario.hpp"
 
-#include <atomic>
 #include <cassert>
-#include <chrono>
-#include <thread>
-
-#include "obs/json.hpp"
+#include <stdexcept>
 
 namespace ekbd::scenario {
 
 using ekbd::dining::Diner;
 using ekbd::load::ChurnOp;
 
+void validate(const LoadConfig& cfg) {
+  if (cfg.base.algorithm != Algorithm::kWaitFree) {
+    throw std::invalid_argument(
+        "LoadConfig.base.algorithm: churn and rejoin are Algorithm-1 extensions; " +
+        to_string(cfg.base.algorithm) + " has no edge handshake");
+  }
+  if (cfg.base.engine == Engine::kProc) {
+    throw std::invalid_argument(
+        "LoadConfig.base.engine: the workload harness runs on sim or rt; the proc "
+        "engine has no churn transport yet");
+  }
+}
+
 LoadScenario::LoadScenario(LoadConfig cfg) : cfg_(std::move(cfg)), overload_(cfg_.overload) {
-  assert(cfg_.base.algorithm == Algorithm::kWaitFree &&
-         "churn/rejoin are Algorithm-1 extensions; baselines have no edge handshake");
-  assert(cfg_.base.engine != Engine::kProc &&
-         "kProc: load harness pending the multi-process churn transport (ROADMAP)");
+  validate(cfg_);
   cfg_.base.observability = true;  // latency percentiles ride the obs histograms
   for (const RecoverySpec& r : cfg_.recoveries) {
     cfg_.base.crashes.emplace_back(r.p, r.crash_at);
@@ -72,34 +78,39 @@ LoadScenario::LoadScenario(LoadConfig cfg) : cfg_(std::move(cfg)), overload_(cfg
   }
 }
 
-LoadScenario::~LoadScenario() = default;
-
-ekbd::core::WaitFreeDiner* LoadScenario::wfd(ProcessId p) {
-  if (sim_ != nullptr) return sim_->wait_free_diner(p);
-  return dynamic_cast<ekbd::core::WaitFreeDiner*>(rt_->diner(p));
+Diner* LoadScenario::diner(ProcessId p) {
+  return sim_ != nullptr ? sim_->diner(p) : rt_->diner(p);
 }
 
-const ekbd::graph::ConflictGraph& LoadScenario::graph() const {
-  return sim_ != nullptr ? sim_->graph() : rt_->graph();
-}
+Books LoadScenario::books() const { return sim_ != nullptr ? sim_->books() : rt_->books(); }
 
-const ekbd::dining::Trace& LoadScenario::trace() const {
-  return sim_ != nullptr ? sim_->trace() : rt_->trace();
-}
+const ekbd::graph::ConflictGraph& LoadScenario::graph() const { return books().graph; }
+
+const ekbd::dining::Trace& LoadScenario::trace() const { return books().trace; }
 
 void LoadScenario::on_arrival(ProcessId p) {
   if (sim_ != nullptr && sim_->sim().crashed(p)) {
     book_->on_arrival_dropped();  // rt arrivals never run on a corpse
     return;
   }
-  Diner* d = sim_ != nullptr ? sim_->diner(p) : rt_->diner(p);
+  Diner* d = diner(p);
   if (book_->on_arrival(static_cast<std::size_t>(p), d->thinking())) {
     d->become_hungry();
   }
 }
 
+void LoadScenario::drain(ProcessId p) {
+  Diner* d = diner(p);
+  if (d->thinking() && book_->try_drain(static_cast<std::size_t>(p))) d->become_hungry();
+}
+
+void LoadScenario::sample(Time at) {
+  overload_.observe({at, book_->offered(), book_->completed(), book_->total_backlog()});
+}
+
 void LoadScenario::issue_churn_op(const ChurnOp& op) {
-  ekbd::core::WaitFreeDiner* d = wfd(op.a);
+  // validate() admits only kWaitFree, so every diner is one.
+  auto* d = static_cast<ekbd::core::WaitFreeDiner*>(diner(op.a));
   switch (op.kind) {
     case ChurnOp::Kind::kAddEdge:
       d->request_add_edge(op.b);
@@ -128,11 +139,7 @@ void LoadScenario::wire_sim() {
     // diner applies its pending churn ops), and become_hungry from inside
     // finish_eating would interleave with them.
     sim_->sim().schedule(sim_->sim().now() + 1, [this, p] {
-      if (sim_->sim().crashed(p)) return;
-      Diner* d = sim_->diner(p);
-      if (d->thinking() && book_->try_drain(static_cast<std::size_t>(p))) {
-        d->become_hungry();
-      }
+      if (!sim_->sim().crashed(p)) drain(p);
     });
   });
 
@@ -164,7 +171,7 @@ void LoadScenario::schedule_sim_arrival(std::size_t stream) {
     const ProcessId p =
         arrivals_[stream].spec().per_actor
             ? static_cast<ProcessId>(stream)
-            : static_cast<ProcessId>(arrival_rngs_[stream].index(graph().size()));
+            : static_cast<ProcessId>(arrival_rngs_[stream].index(book_->size()));
     on_arrival(p);
     schedule_sim_arrival(stream);
   });
@@ -173,7 +180,7 @@ void LoadScenario::schedule_sim_arrival(std::size_t stream) {
 void LoadScenario::schedule_sim_sample(Time at) {
   if (at >= cfg_.base.run_for) return;
   sim_->sim().schedule(at, [this, at] {
-    overload_.observe({at, book_->offered(), book_->completed(), book_->total_backlog()});
+    sample(at);
     schedule_sim_sample(at + cfg_.sample_period);
   });
 }
@@ -188,12 +195,7 @@ void LoadScenario::wire_rt() {
     book_->on_complete();
     // Same one-tick deferral as the sim hook: the claim is p's own, but
     // the diner is still inside finish_eating.
-    rt_->runtime().call_after(p, 1, [this, p] {
-      Diner* d = rt_->diner(p);
-      if (d->thinking() && book_->try_drain(static_cast<std::size_t>(p))) {
-        d->become_hungry();
-      }
-    });
+    rt_->runtime().call_after(p, 1, [this, p] { drain(p); });
   });
   drv.set_recover_hook([this](ProcessId p) {
     // Everything in the old incarnation's timer heap died with it: shed
@@ -239,46 +241,12 @@ void LoadScenario::run() {
   if (sim_ != nullptr) {
     schedule_sim_sample(cfg_.sample_period);
     sim_->run();
-    overload_.observe({cfg_.base.run_for, book_->offered(), book_->completed(),
-                       book_->total_backlog()});
+    sample(cfg_.base.run_for);
     return;
   }
-  // rt: sample from a side thread while run() blocks to the horizon. The
-  // book's counters are relaxed atomics; the detector is only touched by
-  // this thread until the join below publishes it back.
-  std::atomic<bool> done{false};
-  std::thread sampler([this, &done] {
-    const auto period = std::chrono::nanoseconds(
-        static_cast<std::uint64_t>(cfg_.sample_period) * cfg_.base.rt_tick_ns);
-    while (!done.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(period);
-      if (done.load(std::memory_order_acquire)) break;
-      overload_.observe({rt_->runtime().now(), book_->offered(), book_->completed(),
-                         book_->total_backlog()});
-    }
-  });
-  rt_->run();
-  done.store(true, std::memory_order_release);
-  sampler.join();
-  overload_.observe({rt_->runtime().now(), book_->offered(), book_->completed(),
-                     book_->total_backlog()});
-}
-
-ekbd::dining::ExclusionReport LoadScenario::exclusion() const {
-  return sim_ != nullptr ? sim_->exclusion() : rt_->exclusion();
-}
-
-ekbd::dining::WaitFreedomReport LoadScenario::wait_freedom(Time starvation_horizon) const {
-  return sim_ != nullptr ? sim_->wait_freedom(starvation_horizon)
-                         : rt_->wait_freedom(starvation_horizon);
-}
-
-std::string LoadScenario::monitor_agreement() const {
-  if (sim_ != nullptr) {
-    return sim_->monitors()->agreement_failures(sim_->trace(), sim_->graph(),
-                                                sim_->sim().network());
-  }
-  return rt_->monitor_agreement();
+  // rt: the run loop samples on this thread between its sleeps; the
+  // book's counters are relaxed atomics.
+  rt_->run(cfg_.sample_period, [this](Time at) { sample(at); });
 }
 
 ekbd::obs::Histogram LoadScenario::latency() const {
@@ -292,7 +260,6 @@ ekbd::obs::Histogram LoadScenario::latency() const {
 
 std::string LoadScenario::telemetry_json() const {
   std::string out = sim_ != nullptr ? sim_->telemetry_json() : rt_->telemetry_json();
-  const ekbd::obs::Histogram lat = latency();
   std::string lj = "{\"offered\":" + std::to_string(book_->offered());
   lj += ",\"completed\":" + std::to_string(book_->completed());
   lj += ",\"dropped\":" + std::to_string(book_->dropped());
@@ -305,11 +272,7 @@ std::string LoadScenario::telemetry_json() const {
   lj += ",\"issued\":" + std::to_string(churn_issued());
   lj += ",\"skipped\":" + std::to_string(churn_skipped()) + "}";
   lj += ",\"recoveries\":" + std::to_string(cfg_.recoveries.size());
-  lj += ",\"latency\":{\"count\":" + std::to_string(lat.count());
-  lj += ",\"p50\":" + ekbd::obs::json::format_double(lat.quantile(0.50));
-  lj += ",\"p99\":" + ekbd::obs::json::format_double(lat.quantile(0.99));
-  lj += ",\"p999\":" + ekbd::obs::json::format_double(lat.quantile(0.999)) + "}";
-  lj += "}";
+  lj += ",\"latency\":" + latency_json(latency()) + "}";
   assert(!out.empty() && out.back() == '}');
   out.pop_back();
   out += ",\"load\":" + lj + "}";

@@ -28,7 +28,8 @@
 /// Engines: kSim and kRt (kProc pending the multi-process churn
 /// transport — see ROADMAP). The algorithm must be kWaitFree: churn and
 /// rejoin are Algorithm-1 extensions; the baselines have no edge
-/// handshake.
+/// handshake. `validate(const LoadConfig&)` rejects anything else. The
+/// books, reports and telemetry line are the engine scenario's own.
 #pragma once
 
 #include <atomic>
@@ -77,10 +78,14 @@ struct LoadConfig {
   load::OverloadParams overload;
 };
 
-class LoadScenario {
+/// Throw std::invalid_argument naming the first field the workload
+/// harness cannot run: `base.algorithm` must be kWaitFree and
+/// `base.engine` kSim or kRt. The engine scenario checks `base` itself.
+void validate(const LoadConfig& cfg);
+
+class LoadScenario : public Reports {
  public:
   explicit LoadScenario(LoadConfig cfg);
-  ~LoadScenario();
 
   /// Run to the configured horizon (may be called once).
   void run();
@@ -108,13 +113,8 @@ class LoadScenario {
   [[nodiscard]] Scenario* sim_scenario() { return sim_.get(); }
   [[nodiscard]] RtScenario* rt_scenario() { return rt_.get(); }
 
-  // -- canned reports -------------------------------------------------------
-
-  [[nodiscard]] ekbd::dining::ExclusionReport exclusion() const;
-  [[nodiscard]] ekbd::dining::WaitFreedomReport wait_freedom(Time starvation_horizon) const;
-
-  /// Monitor ↔ checker cross-check ("" on full agreement), engine-routed.
-  [[nodiscard]] std::string monitor_agreement() const;
+  /// The engine scenario's books.
+  [[nodiscard]] Books books() const override;
 
   /// Hungry→eat latency histogram (sim: harness obs histogram; rt: the
   /// driver's striped histogram).
@@ -135,7 +135,11 @@ class LoadScenario {
   /// session (p was thinking) or backlog it.
   void on_arrival(ProcessId p);
   void issue_churn_op(const load::ChurnOp& op);
-  [[nodiscard]] ekbd::core::WaitFreeDiner* wfd(ProcessId p);
+  /// Start one backlogged session for `p` if it is thinking.
+  void drain(ProcessId p);
+  /// Feed the overload detector one sample of the book at tick `at`.
+  void sample(Time at);
+  [[nodiscard]] ekbd::dining::Diner* diner(ProcessId p);
 
   LoadConfig cfg_;
   load::ChurnPlan plan_;

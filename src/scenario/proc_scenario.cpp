@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "obs/json.hpp"
-#include "obs/telemetry.hpp"
 #include "rt/replay.hpp"
 
 namespace ekbd::scenario {
@@ -32,8 +31,7 @@ struct NodeWiring {
   dining::HarnessOptions opt;
   std::unique_ptr<sim::Rng> env_rng;
   Diner* diner = nullptr;
-  std::unique_ptr<ekbd::fd::FailureDetector> detector;
-  ekbd::fd::HeartbeatDetector* heartbeat = nullptr;  ///< typed view when used
+  DetectorSet detectors;
 
   void schedule_hunger(Time delay) {
     eng->call_after(delay, [this] {
@@ -78,10 +76,7 @@ ProcScenario::ProcScenario(Config cfg)
     : cfg_(std::move(cfg)),
       graph_(build_conflict_graph(cfg_)),
       colors_(ekbd::graph::welsh_powell_coloring(graph_)) {
-  assert(cfg_.engine == Engine::kProc && "use Scenario / RtScenario for other engines");
-  assert((cfg_.detector == DetectorKind::kNever || cfg_.detector == DetectorKind::kPerfect ||
-          cfg_.detector == DetectorKind::kHeartbeat) &&
-         "proc engine wires kNever / kPerfect (CrashNotice) / kHeartbeat only");
+  validate(cfg_, Engine::kProc);
   log_dir_ = "ekbd_proc_logs." + std::to_string(::getpid()) + "." +
              std::to_string(cfg_.seed);
 }
@@ -104,27 +99,19 @@ void ProcScenario::run() {
   copt.log_dir = log_dir_;
   if (cfg_.net_mode != NetMode::kIdeal) copt.link_faults = cfg_.link_faults;
   if (cfg_.net_mode == NetMode::kLossyPartition) {
-    for (net::Partition p : cfg_.partitions) {
-      p.from *= scale;
-      if (p.until >= 0) p.until *= scale;
-      copt.partitions.push_back(std::move(p));
-    }
-    for (net::EdgeCut c : cfg_.edge_cuts) {
-      c.from *= scale;
-      if (c.until >= 0) c.until *= scale;
-      copt.edge_cuts.push_back(c);
-    }
+    const auto scaled = [scale](auto window) {  // a Partition or an EdgeCut
+      window.from *= scale;
+      if (window.until >= 0) window.until *= scale;
+      return window;
+    };
+    for (const net::Partition& p : cfg_.partitions) copt.partitions.push_back(scaled(p));
+    for (const net::EdgeCut& c : cfg_.edge_cuts) copt.edge_cuts.push_back(scaled(c));
   }
   for (const auto& [p, at] : cfg_.crashes) copt.crashes.emplace_back(p, at * scale);
 
-  // -- child-side wiring, captured as plain (fork-safe) values -------------
-  std::vector<std::vector<ProcessId>> adjacency(graph_.size());
-  std::vector<int> colors(graph_.size());
-  for (std::size_t v = 0; v < graph_.size(); ++v) {
-    adjacency[v] = graph_.neighbors(static_cast<ProcessId>(v));
-    colors[v] = colors_[v];
-  }
-
+  // -- child-side wiring --------------------------------------------------
+  // The setup runs in the forked child, which reads this object's graph,
+  // coloring and Config from its copy of the parent's memory.
   dining::HarnessOptions hopt = cfg_.harness;
   hopt.think_lo *= scale;
   hopt.think_hi *= scale;
@@ -142,86 +129,33 @@ void ProcScenario::run() {
   arq.rto_initial *= scale;
   arq.rto_max *= scale;
 
-  const std::uint64_t seed = cfg_.seed;
-  const Algorithm algorithm = cfg_.algorithm;
-  const DetectorKind detector_kind = cfg_.detector;
-  const int acks = cfg_.acks_per_session;
-  const bool use_arq = cfg_.net_mode != NetMode::kIdeal;
-
-  const ekbd::netproc::NodeSetup setup = [=](NodeEngine& eng) {
+  const ekbd::netproc::NodeSetup setup = [this, hopt, hb, arq](NodeEngine& eng) {
     const ProcessId self = eng.config().self;
-    const auto vi = static_cast<std::size_t>(self);
 
     auto wiring = std::make_shared<NodeWiring>();
     wiring->eng = &eng;
     wiring->opt = hopt;
     wiring->env_rng = std::make_unique<sim::Rng>(
-        sim::Rng(seed ^ kEnvSalt).fork(static_cast<std::uint64_t>(self) + 1));
+        sim::Rng(cfg_.seed ^ kEnvSalt).fork(static_cast<std::uint64_t>(self) + 1));
+    wiring->detectors = make_detector(
+        cfg_, [&eng] { return std::make_unique<ekbd::netproc::CrashNoticeDetector>(eng); });
 
-    switch (detector_kind) {
-      case DetectorKind::kNever:
-        wiring->detector = std::make_unique<ekbd::fd::NeverSuspect>();
-        break;
-      case DetectorKind::kPerfect:
-        wiring->detector = std::make_unique<ekbd::netproc::CrashNoticeDetector>(eng);
-        break;
-      case DetectorKind::kHeartbeat: {
-        auto det = std::make_unique<ekbd::fd::HeartbeatDetector>();
-        wiring->heartbeat = det.get();
-        wiring->detector = std::move(det);
-        break;
-      }
-      default:
-        wiring->detector = std::make_unique<ekbd::fd::NeverSuspect>();
-        break;
-    }
-    const ekbd::fd::FailureDetector& det = *wiring->detector;
-
-    std::vector<ProcessId> neighbors = adjacency[vi];
-    std::vector<int> ncolors;
-    ncolors.reserve(neighbors.size());
-    for (ProcessId j : neighbors) ncolors.push_back(colors[static_cast<std::size_t>(j)]);
-    const int color = colors[vi];
-
-    Diner* d = nullptr;
-    switch (algorithm) {
-      case Algorithm::kWaitFree:
-        d = eng.make_actor<ekbd::core::WaitFreeDiner>(
-            std::vector<ProcessId>(neighbors), color, std::move(ncolors), det,
-            ekbd::core::WaitFreeDiner::Options{.acks_per_session = acks});
-        break;
-      case Algorithm::kChoySingh:
-        d = eng.make_actor<ekbd::baseline::DoorwayDiner>(
-            std::vector<ProcessId>(neighbors), color, std::move(ncolors), det,
-            ekbd::baseline::DoorwayDiner::Options{.single_ack_per_session = false});
-        break;
-      case Algorithm::kChoySinghSingleAck:
-        d = eng.make_actor<ekbd::baseline::DoorwayDiner>(
-            std::vector<ProcessId>(neighbors), color, std::move(ncolors), det,
-            ekbd::baseline::DoorwayDiner::Options{.single_ack_per_session = true});
-        break;
-      case Algorithm::kHierarchical:
-        d = eng.make_actor<ekbd::baseline::HierarchicalDiner>(
-            std::vector<ProcessId>(neighbors), color, std::move(ncolors), det);
-        break;
-      case Algorithm::kChandyMisra:
-        d = eng.make_actor<ekbd::baseline::ChandyMisraDiner>(
-            std::vector<ProcessId>(neighbors), color, std::move(ncolors), det);
-        break;
-    }
-    wiring->diner = d;
-    d->set_recheck_period(hopt.recheck_period);
-    d->set_event_callback([w = wiring.get()](Diner& dn, TraceEventKind kind) {
+    std::unique_ptr<Diner> d =
+        make_diner(cfg_, self, graph_, colors_, *wiring->detectors.owned);
+    wiring->diner = d.get();
+    eng.set_actor(std::move(d));
+    wiring->diner->set_recheck_period(hopt.recheck_period);
+    wiring->diner->set_event_callback([w = wiring.get()](Diner& dn, TraceEventKind kind) {
       w->on_event(dn, kind);
     });
 
-    if (wiring->heartbeat != nullptr) {
-      auto module = std::make_unique<ekbd::fd::HeartbeatModule>(neighbors, hb);
-      wiring->heartbeat->attach(self, module.get());
-      d->host_fd_module(std::move(module));
+    if (wiring->detectors.heartbeat != nullptr) {
+      auto module = std::make_unique<ekbd::fd::HeartbeatModule>(graph_.neighbors(self), hb);
+      wiring->detectors.heartbeat->attach(self, module.get());
+      wiring->diner->host_fd_module(std::move(module));
     }
 
-    if (use_arq) eng.install_arq(arq, wiring->detector.get());
+    if (cfg_.net_mode != NetMode::kIdeal) eng.install_arq(arq, wiring->detectors.owned.get());
 
     wiring->schedule_hunger(wiring->env_rng->uniform_int(0, hopt.first_hunger_hi));
     eng.retain(std::move(wiring));
@@ -244,31 +178,17 @@ void ProcScenario::run() {
   }
 }
 
-std::vector<Time> ProcScenario::crash_times() const {
-  std::vector<Time> times(graph_.size(), -1);
-  for (const auto& [p, at] : cfg_.crashes) {
-    if (p >= 0 && static_cast<std::size_t>(p) < times.size()) {
-      times[static_cast<std::size_t>(p)] = at;
+Books ProcScenario::books() const {
+  const auto crash_times = [this] {
+    std::vector<Time> times(graph_.size(), -1);
+    for (const auto& [p, at] : cfg_.crashes) {
+      if (p >= 0 && static_cast<std::size_t>(p) < times.size()) {
+        times[static_cast<std::size_t>(p)] = at;
+      }
     }
-  }
-  return times;
-}
-
-ekbd::dining::ExclusionReport ProcScenario::exclusion() const {
-  return ekbd::dining::check_exclusion(trace_, graph_);
-}
-
-ekbd::dining::WaitFreedomReport ProcScenario::wait_freedom(Time starvation_horizon) const {
-  return ekbd::dining::check_wait_freedom(trace_, crash_times(), starvation_horizon);
-}
-
-std::vector<ekbd::dining::OvertakeObservation> ProcScenario::census() const {
-  return ekbd::dining::overtake_census(trace_, graph_);
-}
-
-std::string ProcScenario::monitor_agreement() const {
-  if (hub_ == nullptr) return "run() has not executed";
-  return hub_->agreement_failures(trace_, graph_, net_);
+    return times;
+  };
+  return {graph_, trace_, net_, &log_, hub_.get(), crash_times};
 }
 
 std::string ProcScenario::replay_agreement() const {
@@ -283,29 +203,16 @@ std::string ProcScenario::replay_agreement() const {
 
 std::string ProcScenario::telemetry_json() const {
   ekbd::obs::MetricsRegistry reg;
-  ekbd::obs::collect_network_metrics(net_, reg);
-  ekbd::obs::collect_event_log_metrics(log_, reg);
-  std::string out = "{\"config\":{";
-  out += "\"seed\":" + std::to_string(cfg_.seed);
-  out += ",\"engine\":" + ekbd::obs::json::quote(to_string(cfg_.engine));
-  out += ",\"topology\":" + ekbd::obs::json::quote(cfg_.topology);
-  out += ",\"n\":" + std::to_string(cfg_.n);
-  out += ",\"algorithm\":" + ekbd::obs::json::quote(to_string(cfg_.algorithm));
-  out += ",\"detector\":" + ekbd::obs::json::quote(to_string(cfg_.detector));
-  out += ",\"net_mode\":" + ekbd::obs::json::quote(to_string(cfg_.net_mode));
-  out += ",\"run_for\":" + std::to_string(cfg_.run_for);
-  out += ",\"tick_ns\":" + std::to_string(cfg_.rt_tick_ns);
-  out += "},\"cluster\":{";
-  out += "\"ok\":" + std::string(result_.ok ? "true" : "false");
-  out += ",\"error\":" + ekbd::obs::json::quote(result_.error);
-  out += ",\"crashes\":" + std::to_string(result_.crashes.size());
   std::size_t truncated = 0;
   for (const auto& part : result_.parts) truncated += part.truncated ? 1 : 0;
-  out += ",\"truncated_logs\":" + std::to_string(truncated);
-  out += "},\"metrics\":" + reg.to_json();
-  out += ",\"monitors\":" + (hub_ != nullptr ? hub_->to_json() : std::string("{}"));
-  out += "}";
-  return out;
+  std::string cluster = ",\"cluster\":{";
+  cluster += "\"ok\":" + std::string(result_.ok ? "true" : "false");
+  cluster += ",\"error\":" + ekbd::obs::json::quote(result_.error);
+  cluster += ",\"crashes\":" + std::to_string(result_.crashes.size());
+  cluster += ",\"truncated_logs\":" + std::to_string(truncated);
+  cluster += "}";
+  return telemetry_line(cfg_, books(), reg, ",\"tick_ns\":" + std::to_string(cfg_.rt_tick_ns),
+                        cluster);
 }
 
 }  // namespace ekbd::scenario

@@ -20,7 +20,7 @@
 ///  * detector kinds — kNever, kPerfect (the orchestrator's CrashNotice
 ///    ground truth, netproc::CrashNoticeDetector), kHeartbeat (real
 ///    modules over real datagrams). kScripted / kPingPong / kAccrual are
-///    not wired up for this engine (assert);
+///    not wired up for this engine; `validate` rejects them;
 ///  * net_mode — kLossy seeds the per-sender socket-boundary filter with
 ///    `link_faults`; kLossyPartition additionally injects `partitions` /
 ///    `edge_cuts` at runtime. Unlike the rt engine the coins apply to
@@ -29,8 +29,8 @@
 ///  * crashes — executed as SIGKILL by the orchestrator.
 ///
 /// fork() caveat: `run()` forks; the calling process must be
-/// single-threaded at that moment. `run_proc_scenarios` (sweep.hpp) is
-/// therefore deliberately serial.
+/// single-threaded at that moment. `sweep<ProcScenario>` (sweep.hpp)
+/// therefore runs proc configs serially.
 #pragma once
 
 #include <memory>
@@ -43,7 +43,7 @@
 
 namespace ekbd::scenario {
 
-class ProcScenario {
+class ProcScenario : public Reports {
  public:
   explicit ProcScenario(Config cfg);
 
@@ -59,22 +59,12 @@ class ProcScenario {
   [[nodiscard]] const ekbd::netproc::ClusterResult& result() const { return result_; }
   /// Rebuilt cluster-wide books (valid after run), in Config ticks.
   [[nodiscard]] const ekbd::dining::Trace& trace() const { return trace_; }
-  [[nodiscard]] const ekbd::sim::Network& network() const { return net_; }
   [[nodiscard]] const ekbd::sim::EventLog& event_log() const { return log_; }
-  [[nodiscard]] ekbd::obs::MonitorHub& monitors() { return *hub_; }
-  /// Crash times (Config ticks) indexed by process, -1 = correct — the
-  /// shape the property checkers take. Ground truth from the SIGKILL plan.
-  [[nodiscard]] std::vector<Time> crash_times() const;
 
-  // -- canned reports -------------------------------------------------------
-
-  [[nodiscard]] ekbd::dining::ExclusionReport exclusion() const;
-  [[nodiscard]] ekbd::dining::WaitFreedomReport wait_freedom(Time starvation_horizon) const;
-  [[nodiscard]] std::vector<ekbd::dining::OvertakeObservation> census() const;
-
-  /// Cross-check the monitors (rebuilt over the merged logs) against the
-  /// post-hoc checkers and the rebuilt network books ("" on agreement).
-  [[nodiscard]] std::string monitor_agreement() const;
+  /// The rebuilt books. The monitors are rebuilt over the merged logs
+  /// (null until run); the crash times are the SIGKILL plan's, in Config
+  /// ticks.
+  [[nodiscard]] Books books() const override;
 
   /// Replay the merged recording (rt::replay over the rebuilt EventLog +
   /// Trace) into a fresh hub and compare its verdicts against the first

@@ -2,9 +2,10 @@
 /// One-stop experiment builder for the real-threads engine.
 ///
 /// The rt counterpart of `Scenario`: the same declarative `Config` (with
-/// `engine = Engine::kRt`), wired onto `rt::Runtime` — one OS thread per
-/// process, wall-clock timers, lock-free mailboxes — with the Recorder
-/// feeding the same online monitors and post-hoc checkers.
+/// `engine = Engine::kRt`), wired onto `rt::Runtime` — a shard-per-core
+/// executor over OS threads (`rt_shards` workers, each running many
+/// actors), wall-clock timers, lock-free mailboxes — with the Recorder
+/// feeding the same `Books`, online monitors and post-hoc checkers.
 ///
 /// Config mapping (vs. the sim engine):
 ///  * topology / algorithm / detector / harness / crashes / run_for —
@@ -13,18 +14,19 @@
 ///  * detector kinds — kNever, kPerfect (an oracle over the runtime's
 ///    crash flags), kHeartbeat / kPingPong / kAccrual (real modules over
 ///    real timers). kScripted is sim-only (it is written against virtual
-///    time) and asserts;
+///    time); `validate` rejects it;
 ///  * net_mode kLossy — seed-deterministic drop/dup coins on the
 ///    *detector* layer (`link_faults.drop_prob` / `dup_prob`); the dining
 ///    layer keeps the reliable in-process channels, matching the paper's
-///    model. Partitions and the ARQ transport are sim-only for now (see
-///    ROADMAP: multi-process transport);
+///    model. Partitions (rejected by `validate`) and the ARQ transport
+///    are not wired here; the proc engine has both;
 ///  * observability — the MonitorHub rides the Recorder's streams; an
 ///    EventLog is attached so runs can be replayed (rt/replay.hpp) and
 ///    exported to Perfetto.
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +39,7 @@
 
 namespace ekbd::scenario {
 
-class RtScenario {
+class RtScenario : public Reports {
  public:
   explicit RtScenario(Config cfg);
 
@@ -47,7 +49,9 @@ class RtScenario {
   /// one JSONL line goes to `rt_telemetry_path` (if non-empty) and the
   /// same samples accumulate as Perfetto counter tracks
   /// (`counter_samples()`), all read live off the running executor.
-  void run();
+  /// `sample`, when given, is called on this thread every `sample_every`
+  /// ticks and once more after the join, with the tick it stands for.
+  void run(Time sample_every = 0, const std::function<void(Time)>& sample = {});
 
   // -- access ------------------------------------------------------------
 
@@ -56,12 +60,10 @@ class RtScenario {
   [[nodiscard]] ekbd::rt::Recorder& recorder() { return recorder_; }
   [[nodiscard]] ekbd::rt::DiningDriver& driver() { return *driver_; }
   [[nodiscard]] const ekbd::graph::ConflictGraph& graph() const { return graph_; }
-  [[nodiscard]] const ekbd::graph::Coloring& colors() const { return colors_; }
   [[nodiscard]] const ekbd::dining::Trace& trace() const { return recorder_.trace(); }
   [[nodiscard]] ekbd::dining::Diner* diner(ProcessId p) {
     return diners_[static_cast<std::size_t>(p)];
   }
-  [[nodiscard]] const ekbd::fd::FailureDetector& detector() const { return *detector_; }
   /// Recorded event log (nullptr unless cfg.observability).
   [[nodiscard]] const ekbd::sim::EventLog* event_log() const { return event_log_.get(); }
   /// Metrics registry (nullptr unless cfg.observability).
@@ -69,16 +71,7 @@ class RtScenario {
   /// Online invariant monitors (nullptr unless cfg.observability).
   [[nodiscard]] ekbd::obs::MonitorHub* monitors() { return monitors_.get(); }
 
-  // -- canned reports ----------------------------------------------------
-
-  [[nodiscard]] ekbd::dining::ExclusionReport exclusion() const;
-  [[nodiscard]] ekbd::dining::WaitFreedomReport wait_freedom(Time starvation_horizon) const;
-  [[nodiscard]] std::vector<ekbd::dining::OvertakeObservation> census() const;
-
-  /// Cross-check the online monitors against the post-hoc checkers and
-  /// the recorder's network books ("" on full agreement — the rt fuzz
-  /// suite asserts exactly this on every run). Requires observability.
-  [[nodiscard]] std::string monitor_agreement() const;
+  [[nodiscard]] Books books() const override;
 
   /// One-line JSON telemetry snapshot (requires cfg.observability) —
   /// same shape as Scenario::telemetry_json, with "engine":"rt" plus
@@ -110,11 +103,7 @@ class RtScenario {
   std::unique_ptr<ekbd::obs::MonitorHub> monitors_;
   ekbd::rt::Recorder recorder_;
   std::unique_ptr<ekbd::rt::Runtime> rt_;
-  std::unique_ptr<ekbd::fd::FailureDetector> owned_detector_;
-  ekbd::fd::FailureDetector* detector_ = nullptr;
-  ekbd::fd::HeartbeatDetector* heartbeat_ = nullptr;
-  ekbd::fd::PingPongDetector* pingpong_ = nullptr;
-  ekbd::fd::AccrualDetector* accrual_ = nullptr;
+  DetectorSet detectors_;
   std::unique_ptr<ekbd::rt::DiningDriver> driver_;
   std::vector<ekbd::dining::Diner*> diners_;
   std::vector<ekbd::obs::CounterSample> counter_samples_;

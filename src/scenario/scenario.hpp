@@ -1,22 +1,28 @@
 /// \file scenario.hpp
-/// One-stop experiment builder.
+/// One-stop experiment builder, and the layer every engine shares.
 ///
 /// Wires a full execution from a declarative `Config`: conflict graph +
-/// coloring, simulator + delay model, failure detector, one diner per
-/// vertex, harness, crash plan. Used by the integration tests, every bench
-/// binary and the examples, so that an experiment is (Config → run →
-/// reports) and nothing else.
+/// coloring, engine, failure detector, one diner per vertex, environment,
+/// crash plan. Used by the integration tests, every bench binary and the
+/// examples, so that an experiment is (Config → run → reports) and
+/// nothing else.
+///
+/// The sim (`Scenario`, here), rt (`RtScenario`) and proc
+/// (`ProcScenario`) engines all produce the same three records: the
+/// dining Trace, the network books and the EventLog. Each hands them out
+/// as one `Books` view, and everything above that view is written once:
+/// the `Config` check (`validate`), the diner and detector factories, the
+/// reports (`Reports`), the telemetry line (`telemetry_line`) and the
+/// sweep runner (scenario/sweep.hpp).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baseline/chandy_misra_diner.hpp"
-#include "baseline/doorway_diner.hpp"
-#include "baseline/hierarchical_diner.hpp"
 #include "core/wait_free_diner.hpp"
 #include "dining/checkers.hpp"
 #include "dining/harness.hpp"
@@ -70,14 +76,14 @@ enum class NetMode {
 
 [[nodiscard]] std::string to_string(NetMode m);
 
-/// Which engine executes the run: the deterministic discrete-event
-/// simulator (`Scenario`) or the real-threads runtime (`RtScenario`,
-/// scenario/rt_scenario.hpp — one OS thread per process, wall-clock
-/// timers, src/rt/).
+/// Which engine executes the run. Each has its own class over the same
+/// Config, and all three hand their records out as `Books`.
 enum class Engine {
-  kSim,   ///< sim::Simulator (default)
-  kRt,    ///< rt::Runtime
-  kProc,  ///< netproc::NodeEngine — one OS process per node, UDP sockets
+  kSim,   ///< sim::Simulator, the deterministic discrete-event simulator
+          ///< (`Scenario`; default)
+  kRt,    ///< rt::Runtime: shard-per-core executor over OS threads,
+          ///< wall-clock timers (`RtScenario`, scenario/rt_scenario.hpp)
+  kProc,  ///< netproc::NodeEngine: one OS process per node, UDP sockets
           ///< (`ProcScenario`, scenario/proc_scenario.hpp)
 };
 
@@ -86,12 +92,12 @@ enum class Engine {
 struct Config {
   std::uint64_t seed = 1;
 
-  /// Engine selection. A Config with kRt must be run through RtScenario /
-  /// run_rt_scenarios; Scenario asserts kSim. Most knobs are shared
-  /// (topology, algorithm, detector, harness, crashes, run_for measured
-  /// in ticks); sim-only knobs (delay model, scripted detector, channel
-  /// faults, partitions, ARQ transport) are rejected or ignored by the rt
-  /// engine — see scenario/rt_scenario.hpp for the exact mapping.
+  /// Engine selection: the engine class that runs the Config must match
+  /// (`validate`). Most knobs are shared (topology, algorithm, detector,
+  /// harness, crashes, run_for measured in ticks); sim-only knobs (delay
+  /// model, scripted detector, channel faults, partitions, ARQ transport)
+  /// are rejected or ignored by the rt engine — see
+  /// scenario/rt_scenario.hpp for the exact mapping.
   Engine engine = Engine::kSim;
 
   // rt-engine knobs (used only when engine == kRt)
@@ -108,13 +114,6 @@ struct Config {
   /// every hot-path hook. Same books, same monitor verdicts; false falls
   /// back to the single-mutex direct path.
   bool rt_segmented_recorder = true;
-  /// Collector merge period in ticks (the streaming "window"); 0 keeps
-  /// the runtime default (rt::Options::stream_window_ticks).
-  std::uint64_t rt_stream_window = 0;
-  /// Bound on records buffered between collector passes; 0 = unbounded.
-  /// When exceeded the recorder sheds new records (counted in
-  /// StreamStats::dropped_records / dropped_windows, like EventLog drops).
-  std::size_t rt_stream_pending_cap = 0;
   /// EventLog capacity when observability is on; 0 = unbounded. Capping
   /// bounds resident log memory for 10⁵⁺-actor runs (the log counts what
   /// it dropped); the Trace and network books stay exact.
@@ -185,8 +184,8 @@ struct Config {
   ekbd::net::ReliableTransport::Params transport{};
   /// Seed of the fault-coin stream; 0 derives one from `seed`. Always
   /// explicit internally — equal Configs replay equal fault schedules.
+  /// Drops, duplicates and partition cuts/heals are recorded in the trace.
   std::uint64_t net_seed = 0;
-  bool trace_net_events = true;  ///< record netdrop/netdup/cut/heal in the trace
 
   /// Observability: when true the scenario owns an `obs::MetricsRegistry`
   /// and an `obs::MonitorHub`, wires them into the simulator, network and
@@ -205,12 +204,121 @@ struct Config {
   Time run_for = 50'000;
 };
 
+/// Throw std::invalid_argument naming the first field of `cfg` that the
+/// engine class being built cannot run. `engine` is that class's engine:
+/// `cfg.engine` must name it, the rt engine has no scripted detector and
+/// no partitions, and the proc engine wires kNever, kPerfect and
+/// kHeartbeat only. Every engine class calls it before it runs anything,
+/// so a misconfiguration fails in every build type.
+void validate(const Config& cfg, Engine engine);
+
 /// Build the conflict graph a Config describes (seeded from cfg.seed, so
-/// equal Configs get equal graphs). Shared by both engines — a sim run
+/// equal Configs get equal graphs). Shared by every engine: a sim run
 /// and an rt run of the same Config schedule the same topology.
 [[nodiscard]] ekbd::graph::ConflictGraph build_conflict_graph(const Config& cfg);
 
-class Scenario {
+/// One diner of `cfg.algorithm` for vertex `p`: its neighbors from
+/// `graph`, its own and its neighbors' colors from `colors`, its
+/// suspicion guards on `detector`. The engine registers it as process p
+/// (add_actor / set_actor).
+[[nodiscard]] std::unique_ptr<ekbd::dining::Diner> make_diner(
+    const Config& cfg, ProcessId p, const ekbd::graph::ConflictGraph& graph,
+    const ekbd::graph::Coloring& colors, const ekbd::fd::FailureDetector& detector);
+
+/// The detector a Config names, with typed views of the real ◇P₁
+/// detectors whose per-process modules the engine installs.
+struct DetectorSet {
+  std::unique_ptr<ekbd::fd::FailureDetector> owned;
+  ekbd::fd::HeartbeatDetector* heartbeat = nullptr;
+  ekbd::fd::PingPongDetector* pingpong = nullptr;
+  ekbd::fd::AccrualDetector* accrual = nullptr;
+};
+
+/// Build `cfg.detector`. kNever and the three real detectors are the same
+/// on every engine; `oracle` builds the ones that read the engine's own
+/// crash knowledge or clock: kPerfect, and on the sim kScripted.
+[[nodiscard]] DetectorSet make_detector(
+    const Config& cfg,
+    const std::function<std::unique_ptr<ekbd::fd::FailureDetector>()>& oracle);
+
+/// Register one `make_diner` diner per vertex on `engine` (the sim
+/// Simulator or the rt Runtime), hand each to `env` (the Harness or
+/// DiningDriver playing the environment) and install the real detectors'
+/// per-process modules there. Returns the diners, indexed by process.
+template <typename EngineT, typename Env>
+std::vector<ekbd::dining::Diner*> add_diners(const Config& cfg,
+                                             const ekbd::graph::ConflictGraph& graph,
+                                             const ekbd::graph::Coloring& colors,
+                                             const ekbd::fd::FailureDetector& detector,
+                                             const DetectorSet& detectors, EngineT& engine,
+                                             Env& env) {
+  std::vector<ekbd::dining::Diner*> diners;
+  diners.reserve(graph.size());
+  for (std::size_t v = 0; v < graph.size(); ++v) {
+    std::unique_ptr<ekbd::dining::Diner> d =
+        make_diner(cfg, static_cast<ProcessId>(v), graph, colors, detector);
+    diners.push_back(d.get());
+    engine.add_actor(std::move(d));
+    env.manage(diners.back());
+  }
+  if (detectors.heartbeat != nullptr) env.install_heartbeats(*detectors.heartbeat, cfg.heartbeat);
+  if (detectors.pingpong != nullptr) env.install_pingpongs(*detectors.pingpong, cfg.pingpong);
+  if (detectors.accrual != nullptr) env.install_accruals(*detectors.accrual, cfg.accrual);
+  return diners;
+}
+
+/// Non-owning view of one run's records, the same on every engine: the
+/// conflict graph, the dining Trace, the network books, the EventLog and
+/// the online monitors (each null when not kept), and the crash time of
+/// every process (-1 = correct). The crash times cost a pass over every
+/// process, so they are read on demand and building a Books stays O(1).
+/// Valid while the engine object lives.
+struct Books {
+  const ekbd::graph::ConflictGraph& graph;
+  const ekbd::dining::Trace& trace;
+  const ekbd::sim::Network& network;
+  const ekbd::sim::EventLog* event_log = nullptr;
+  const ekbd::obs::MonitorHub* monitors = nullptr;
+  std::function<std::vector<Time>()> crash_times;
+};
+
+/// The reports every engine answers the same way, written once over its
+/// `books()`. Every engine class derives from it.
+class Reports {
+ public:
+  Reports() = default;
+  Reports(const Reports&) = delete;  // engines hand `this` to their callbacks
+  Reports& operator=(const Reports&) = delete;
+  virtual ~Reports() = default;
+
+  [[nodiscard]] virtual Books books() const = 0;
+
+  [[nodiscard]] ekbd::dining::ExclusionReport exclusion() const;
+  [[nodiscard]] ekbd::dining::WaitFreedomReport wait_freedom(Time starvation_horizon) const;
+  [[nodiscard]] std::vector<ekbd::dining::OvertakeObservation> census() const;
+
+  /// Cross-check the online monitors against the post-hoc checkers and
+  /// the network books ("" on full agreement; the fuzz suites assert
+  /// exactly this on every run). Requires observability.
+  [[nodiscard]] std::string monitor_agreement() const;
+};
+
+/// One telemetry line over `books`:
+/// `{"config":{...},<sections>,"metrics":{...},"monitors":{...}}`. The
+/// network and EventLog state is flushed into `reg` first. `config_extras`
+/// (engine keys appended to the "config" object) and `sections` (engine
+/// objects before "metrics") are empty or start with a comma.
+[[nodiscard]] std::string telemetry_line(const Config& cfg, const Books& books,
+                                         ekbd::obs::MetricsRegistry& reg,
+                                         const std::string& config_extras = {},
+                                         const std::string& sections = {});
+
+/// `{"count":..,"p50":..,"p99":..,"p999":..<extra>}` of a hungry→eat
+/// latency histogram; `extra` is empty or starts with a comma.
+[[nodiscard]] std::string latency_json(const ekbd::obs::Histogram& lat,
+                                       const std::string& extra = {});
+
+class Scenario : public Reports {
  public:
   explicit Scenario(Config cfg);
 
@@ -231,9 +339,9 @@ class Scenario {
   [[nodiscard]] ekbd::dining::Diner* diner(ProcessId p) { return diners_[static_cast<std::size_t>(p)]; }
   [[nodiscard]] const ekbd::fd::FailureDetector& detector() const { return *detector_; }
   [[nodiscard]] ekbd::fd::ScriptedDetector* scripted_detector() { return scripted_; }
-  [[nodiscard]] ekbd::fd::HeartbeatDetector* heartbeat_detector() { return heartbeat_; }
-  [[nodiscard]] ekbd::fd::PingPongDetector* pingpong_detector() { return pingpong_; }
-  [[nodiscard]] ekbd::fd::AccrualDetector* accrual_detector() { return accrual_; }
+  [[nodiscard]] ekbd::fd::HeartbeatDetector* heartbeat_detector() { return detectors_.heartbeat; }
+  [[nodiscard]] ekbd::fd::PingPongDetector* pingpong_detector() { return detectors_.pingpong; }
+  [[nodiscard]] ekbd::fd::AccrualDetector* accrual_detector() { return detectors_.accrual; }
   /// Installed link-fault adversary (nullptr when net_mode == kIdeal).
   [[nodiscard]] ekbd::net::LinkFaultModel* fault_model() { return fault_model_.get(); }
   /// Installed ARQ shim (nullptr when net_mode == kIdeal).
@@ -243,11 +351,7 @@ class Scenario {
   /// Online invariant monitors (nullptr unless cfg.observability).
   [[nodiscard]] ekbd::obs::MonitorHub* monitors() { return monitors_.get(); }
 
-  // -- canned reports ------------------------------------------------------
-
-  [[nodiscard]] ekbd::dining::ExclusionReport exclusion() const;
-  [[nodiscard]] ekbd::dining::WaitFreedomReport wait_freedom(Time starvation_horizon) const;
-  [[nodiscard]] std::vector<ekbd::dining::OvertakeObservation> census() const;
+  [[nodiscard]] Books books() const override;
 
   /// Best-effort bound on when the detector (if any) had converged:
   /// scripted → max(last scripted lie end, last crash + detection delay);
@@ -262,10 +366,13 @@ class Scenario {
   /// flushes the network / transport / event-log state into the registry,
   /// then emits `{"config":{...},"metrics":{...},"monitors":{...}}`.
   /// Exactly the line `scenario::sweep` appends per scenario when given a
-  /// telemetry path.
+  /// telemetry path (plus the sweep's own object).
   [[nodiscard]] std::string telemetry_json() const;
 
  private:
+  /// The sim's own detectors: kPerfect, and kScripted with its lies.
+  std::unique_ptr<ekbd::fd::FailureDetector> make_oracle();
+
   Config cfg_;
   ekbd::graph::ConflictGraph graph_;
   ekbd::graph::Coloring colors_;
@@ -274,14 +381,11 @@ class Scenario {
   // (the transport detaches from the simulator in its destructor).
   std::unique_ptr<ekbd::net::LinkFaultModel> fault_model_;
   std::unique_ptr<ekbd::net::ReliableTransport> transport_;
-  std::unique_ptr<ekbd::fd::FailureDetector> owned_detector_;
-  std::unique_ptr<ekbd::fd::FailureDetector> sabotage_wrapper_;
-  std::vector<std::unique_ptr<ekbd::fd::FailureDetector>> chained_wrappers_;
+  DetectorSet detectors_;
+  /// Blind/poison wrappers, innermost first; `detector_` is the outermost.
+  std::vector<std::unique_ptr<ekbd::fd::FailureDetector>> sabotage_wrappers_;
   ekbd::fd::FailureDetector* detector_ = nullptr;
   ekbd::fd::ScriptedDetector* scripted_ = nullptr;
-  ekbd::fd::HeartbeatDetector* heartbeat_ = nullptr;
-  ekbd::fd::PingPongDetector* pingpong_ = nullptr;
-  ekbd::fd::AccrualDetector* accrual_ = nullptr;
   std::unique_ptr<ekbd::dining::Harness> harness_;
   std::vector<ekbd::dining::Diner*> diners_;
   // Observability (only when cfg.observability). Declared after sim_ /

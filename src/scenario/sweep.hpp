@@ -1,22 +1,23 @@
 /// \file sweep.hpp
-/// Parallel scenario sweeps.
+/// Parallel scenario sweeps, one runner for every engine.
 ///
 /// Fuzz, stress and parameter-sweep suites all have the same shape: many
-/// *independent* timed simulations (one `Simulator` per job, nothing
-/// shared), followed by per-job property checks. The runner here shards
-/// the simulations across the mc work-stealing pool and then hands each
-/// finished job back to the caller **serially, in index order, on the
-/// calling thread** — so gtest assertions, SCOPED_TRACE and any
-/// accumulation stay single-threaded, and a sweep's pass/fail report is
-/// identical for every thread count.
+/// *independent* runs (one engine object per job, nothing shared),
+/// followed by per-job property checks. `sweep<S>` shards the runs across
+/// the mc work-stealing pool and then hands each finished job back to the
+/// caller **serially, in index order, on the calling thread** — so gtest
+/// assertions, SCOPED_TRACE and any accumulation stay single-threaded,
+/// and a sweep's pass/fail report is identical for every thread count.
 ///
 /// Jobs are inspected (and destroyed) as soon as their turn comes, so the
 /// high-water memory is one window of out-of-order completions, not the
 /// whole sweep.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <exception>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,10 +25,12 @@
 #include <condition_variable>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mc/pool.hpp"
+#include "obs/json.hpp"
 #include "scenario/load_scenario.hpp"
 #include "scenario/proc_scenario.hpp"
 #include "scenario/rt_scenario.hpp"
@@ -37,7 +40,7 @@ namespace ekbd::scenario {
 
 struct SweepOptions {
   std::size_t threads = 0;  ///< pool width; 0 = hardware concurrency
-  /// When non-empty, `run_scenarios` appends one `telemetry_json()` line
+  /// When non-empty, `sweep` appends one `telemetry_json()` line
   /// per scenario to this file (JSONL), written serially in config order
   /// from the inspect loop — so the file order matches the config order
   /// for any thread count. Every line additionally carries a
@@ -91,40 +94,69 @@ void parallel_sweep(std::size_t count, std::size_t threads,
   }
 }
 
-/// Convenience: build + run one `Scenario` per config on the pool, then
-/// inspect each serially in config order. This is the runner the fuzz and
-/// stress suites drive; anything expressible as a `Config` parallelizes
-/// through it unchanged.
-void run_scenarios(const std::vector<Config>& configs,
-                   const std::function<void(std::size_t, Scenario&)>& inspect,
-                   const SweepOptions& options = {});
+namespace detail {
 
-/// Same runner for rt-engine configs (engine == Engine::kRt). Mind the
-/// width: every rt job spawns one OS thread per process on top of the
-/// pool, so rt sweeps usually want a small explicit `threads` rather than
-/// hardware concurrency.
-void run_rt_scenarios(const std::vector<Config>& configs,
-                      const std::function<void(std::size_t, RtScenario&)>& inspect,
-                      const SweepOptions& options = {});
+/// `line` with the sweep object spliced in: build+run `wall_seconds`,
+/// and the trace's hungry-session (offered) and completed-session counts,
+/// so the object means the same thing for every engine and also appears
+/// on the `{}` placeholder lines of observability-off scenarios.
+inline std::string with_sweep_object(std::string line, double wall_seconds,
+                                     const ekbd::dining::Trace& trace) {
+  if (line.empty() || line.back() != '}') return line;  // not an object; leave it
+  const bool was_empty = line == "{}";
+  line.pop_back();
+  if (!was_empty) line += ',';
+  line += "\"sweep\":{\"wall_seconds\":" + ekbd::obs::json::format_double(wall_seconds) +
+          ",\"offered\":" +
+          std::to_string(trace.count(ekbd::dining::TraceEventKind::kBecameHungry)) +
+          ",\"completed\":" +
+          std::to_string(trace.count(ekbd::dining::TraceEventKind::kStopEating)) + "}}";
+  return line;
+}
 
-/// Same runner for workload-harness configs: one `LoadScenario` per
-/// `LoadConfig`, parallel on the pool, inspected serially in config
-/// order. Telemetry lines carry the scenario's own `"load"` object plus
-/// the runner's `"sweep"` object. Mind the width for rt-engine configs
-/// (one OS thread per actor per job, as `run_rt_scenarios`).
-void run_load_scenarios(const std::vector<LoadConfig>& configs,
-                        const std::function<void(std::size_t, LoadScenario&)>& inspect,
-                        const SweepOptions& options = {});
+}  // namespace detail
 
-/// Same runner for proc-engine configs (engine == Engine::kProc) — but
-/// deliberately SERIAL, no pool: `ProcScenario::run()` forks one process
-/// per node, and forking from a multithreaded parent is undefined enough
-/// to matter (only async-signal-safe code may run between fork and exec).
-/// Each scenario is its own cluster, so the parallelism lives in the node
-/// processes instead. `options.threads` is ignored; `telemetry_path`
-/// works as in the other runners.
-void run_proc_scenarios(const std::vector<Config>& configs,
-                        const std::function<void(std::size_t, ProcScenario&)>& inspect,
-                        const SweepOptions& options = {});
+/// Build + run one `S` per config, then inspect each serially in config
+/// order. `S` is any engine class: `Scenario`, `RtScenario` and
+/// `LoadScenario` jobs run in parallel on the pool (mind the width for rt
+/// configs: every rt job runs its own shard workers on top of the pool,
+/// so rt sweeps usually want a small explicit `threads`). `ProcScenario`
+/// jobs run serially on the calling thread, because its `run()` forks and
+/// forking from a multithreaded parent is undefined enough to matter;
+/// each proc job is its own cluster, so the parallelism lives in the node
+/// processes instead, and `options.threads` is ignored.
+template <typename S, typename C = Config>
+void sweep(const std::vector<C>& configs,
+           const std::type_identity_t<std::function<void(std::size_t, S&)>>& inspect,
+           const SweepOptions& options = {}) {
+  std::ofstream telemetry;
+  if (!options.telemetry_path.empty()) telemetry.open(options.telemetry_path, std::ios::trunc);
+  using Job = std::pair<std::unique_ptr<S>, double>;
+  const std::function<Job(std::size_t)> run = [&configs](std::size_t i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto scenario = std::make_unique<S>(configs[i]);
+    scenario->run();
+    return Job{std::move(scenario), std::chrono::duration<double>(
+                                        std::chrono::steady_clock::now() - t0)
+                                        .count()};
+  };
+  const std::function<void(std::size_t, Job&)> check = [&](std::size_t i, Job& job) {
+    // Serial, index-ordered: the JSONL line order is deterministic.
+    if (telemetry.is_open()) {
+      telemetry << detail::with_sweep_object(job.first->telemetry_json(), job.second,
+                                             job.first->trace())
+                << '\n';
+    }
+    inspect(i, *job.first);
+  };
+  if constexpr (std::is_same_v<S, ProcScenario>) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      Job job = run(i);
+      check(i, job);
+    }
+  } else {
+    parallel_sweep<Job>(configs.size(), options.threads, run, check);
+  }
+}
 
 }  // namespace ekbd::scenario

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
 #include <variant>
 
@@ -172,8 +173,10 @@ namespace ekbd::net {
 /// copyable and at most 8 bytes (enforced via `sim::pack_payload`), the
 /// same constant-size-record property §7 rests on. Bookkeeping fields are
 /// bit-packed into one word; the widths bound a single run at 2^26 ARQ
-/// segments per directed edge and 2^30 logical sends total, far above any
-/// experiment in this repository (debug builds assert the bounds).
+/// segments per directed edge and 2^30 logical sends per ARQ, far above
+/// any experiment in this repository. A sequence number past its field
+/// is refused with std::out_of_range in every build type: masked, it
+/// would book the delivery against another message.
 struct DataSegment {
   // header: [ seq:26 | logical_seq:30 | layer:2 | inner_tag:6 ]
   std::uint64_t header = 0;
@@ -186,7 +189,7 @@ struct DataSegment {
   DataSegment() = default;
   DataSegment(std::uint64_t seq, ekbd::sim::MsgLayer layer, std::uint64_t logical_seq,
               ekbd::sim::Time sent_at, std::uint8_t inner_tag, std::uint64_t bits)
-      : header((seq << 38) | ((logical_seq & kMaxLogicalSeq) << 8) |
+      : header((checked(seq, kMaxSeq) << 38) | (checked(logical_seq, kMaxLogicalSeq) << 8) |
                (static_cast<std::uint64_t>(layer) << 6) | (inner_tag & 0x3F)),
         inner_bits(bits),
         logical_sent_at(sent_at) {}
@@ -198,6 +201,12 @@ struct DataSegment {
   }
   [[nodiscard]] std::uint8_t inner_tag() const {
     return static_cast<std::uint8_t>(header & 0x3F);
+  }
+
+ private:
+  static std::uint64_t checked(std::uint64_t value, std::uint64_t max) {
+    if (value > max) throw std::out_of_range("DataSegment: sequence number exceeds its field");
+    return value;
   }
 };
 

@@ -4,7 +4,7 @@
 // combinations (and stays deterministic: the fuzz seed is fixed).
 //
 // The `ParallelSweep*` tests drive the same property checks through
-// scenario::parallel_sweep / run_scenarios: simulations execute on a
+// scenario::parallel_sweep / sweep: simulations execute on a
 // work-stealing pool, assertions run serially in index order on the main
 // thread. They double as the TSan workload for the sweep runner — every
 // Simulator is pool-thread-confined, so a data-race report here means the
@@ -95,8 +95,7 @@ TEST(Fuzz, RandomConfigurationsKeepEveryGuarantee) {
       EXPECT_EQ(s.wait_free_diner(static_cast<int>(p))->lemma11_violations(), 0u);
     }
     // Online monitors agree with every post-hoc verdict above.
-    EXPECT_EQ(s.monitors()->agreement_failures(s.trace(), s.graph(), s.sim().network()),
-              "");
+    EXPECT_EQ(s.monitor_agreement(), "");
   }
   EXPECT_EQ(executed, 120);
 }
@@ -105,7 +104,7 @@ TEST(Fuzz, LossyAndPartitionedModesKeepEveryGuarantee) {
   // The same property battery as above, but over the net/ stack: every
   // scenario runs in {lossy, lossy+partition} with fuzzed loss ≤ 0.3 and
   // duplication ≤ 0.2 rates, finite partitions only, all traffic through
-  // the ReliableTransport ARQ. Executed through run_scenarios on a pool.
+  // the ReliableTransport ARQ. Executed through sweep<Scenario> on a pool.
   const char* topologies[] = {"ring", "path", "clique", "star", "grid",
                               "tree", "random", "hypercube", "torus", "bipartite"};
   ekbd::sim::Rng fuzz(0x10557);
@@ -151,7 +150,7 @@ TEST(Fuzz, LossyAndPartitionedModesKeepEveryGuarantee) {
   std::size_t inspected = 0;
   ekbd::scenario::SweepOptions sweep;
   sweep.threads = 8;
-  ekbd::scenario::run_scenarios(
+  ekbd::scenario::sweep<Scenario>(
       configs,
       [&configs, &inspected](std::size_t i, Scenario& s) {
         const Config& cfg = configs[i];
@@ -189,8 +188,7 @@ TEST(Fuzz, LossyAndPartitionedModesKeepEveryGuarantee) {
         }
         // Online monitors agree with the post-hoc checkers even under
         // loss, duplication, reordering and partitions (ARQ mode).
-        EXPECT_EQ(s.monitors()->agreement_failures(s.trace(), s.graph(), s.sim().network()),
-                  "");
+        EXPECT_EQ(s.monitor_agreement(), "");
       },
       sweep);
   EXPECT_EQ(inspected, configs.size());
@@ -199,7 +197,7 @@ TEST(Fuzz, LossyAndPartitionedModesKeepEveryGuarantee) {
 // ---------------------- parallel sweep variants ---------------------------
 
 TEST(Fuzz, ParallelSweepWaitFreeKeepsEveryGuarantee) {
-  // Fuzzed Algorithm::kWaitFree configs executed through run_scenarios on
+  // Fuzzed Algorithm::kWaitFree configs executed through sweep<Scenario> on
   // an 8-wide pool; every paper property is asserted per shard, serially,
   // in config order. Sizes are moderate so the TSan build stays brisk.
   const char* topologies[] = {"ring", "path", "clique", "star", "grid",
@@ -241,7 +239,7 @@ TEST(Fuzz, ParallelSweepWaitFreeKeepsEveryGuarantee) {
   std::size_t inspected = 0;
   ekbd::scenario::SweepOptions sweep;
   sweep.threads = 8;
-  ekbd::scenario::run_scenarios(
+  ekbd::scenario::sweep<Scenario>(
       configs,
       [&configs, &inspected](std::size_t i, Scenario& s) {
         const Config& cfg = configs[i];
@@ -267,8 +265,7 @@ TEST(Fuzz, ParallelSweepWaitFreeKeepsEveryGuarantee) {
           EXPECT_EQ(s.wait_free_diner(static_cast<int>(p))->lemma11_violations(), 0u);
         }
         // Online monitors agree with every post-hoc verdict above.
-        EXPECT_EQ(s.monitors()->agreement_failures(s.trace(), s.graph(), s.sim().network()),
-                  "");
+        EXPECT_EQ(s.monitor_agreement(), "");
       },
       sweep);
   EXPECT_EQ(inspected, configs.size());

@@ -471,7 +471,7 @@ TEST(LoadSweep, ParallelRunnerKeepsConfigOrderAndTelemetry) {
   opt.telemetry_path = path;
 
   std::vector<std::uint64_t> offered;
-  ekbd::scenario::run_load_scenarios(
+  ekbd::scenario::sweep<LoadScenario>(
       configs,
       [&](std::size_t i, LoadScenario& s) {
         EXPECT_EQ(s.config().arrivals.rate_per_kilotick, rates[i]);

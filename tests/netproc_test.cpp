@@ -496,7 +496,7 @@ TEST(Sweep, RunProcScenariosIsSerialAndEmitsTelemetry) {
   scenario::SweepOptions sweep;
   sweep.telemetry_path = "ekbd_proc_sweep_telemetry.jsonl";
   std::size_t inspected = 0;
-  scenario::run_proc_scenarios(
+  scenario::sweep<scenario::ProcScenario>(
       configs,
       [&](std::size_t i, scenario::ProcScenario& s) {
         SCOPED_TRACE("config " + std::to_string(i));

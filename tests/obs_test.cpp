@@ -499,7 +499,7 @@ TEST(Monitors, OnlineVerdictsAgreeWithPostHocCheckersOnScenarioRun) {
   ASSERT_NE(s.monitors(), nullptr);
   ASSERT_NE(s.metrics(), nullptr);
   s.run();
-  EXPECT_EQ(s.monitors()->agreement_failures(s.trace(), s.graph(), s.sim().network()), "");
+  EXPECT_EQ(s.monitor_agreement(), "");
   EXPECT_TRUE(s.monitors()->clean());
   // The monitors actually saw the run: forks moved, sessions completed.
   EXPECT_GT(s.monitors()->forks().fork_sends(), 0u);
@@ -524,7 +524,7 @@ TEST(Monitors, AgreementHoldsUnderLossyNetworkWithArq) {
   cfg.net_mode = ekbd::scenario::NetMode::kLossy;
   ekbd::scenario::Scenario s(cfg);
   s.run();
-  EXPECT_EQ(s.monitors()->agreement_failures(s.trace(), s.graph(), s.sim().network()), "");
+  EXPECT_EQ(s.monitor_agreement(), "");
   EXPECT_TRUE(s.monitors()->clean());
   // ARQ telemetry flows through telemetry_json's collection path.
   const std::string line = s.telemetry_json();
@@ -605,7 +605,7 @@ TEST(Telemetry, SweepEmitsOneParseableJsonlLinePerScenarioInConfigOrder) {
   opt.threads = 3;
   opt.telemetry_path = path;
   std::size_t inspected = 0;
-  ekbd::scenario::run_scenarios(
+  ekbd::scenario::sweep<ekbd::scenario::Scenario>(
       configs, [&](std::size_t, ekbd::scenario::Scenario&) { ++inspected; }, opt);
   EXPECT_EQ(inspected, configs.size());
 
@@ -647,7 +647,7 @@ TEST(Telemetry, SweepObjectAppearsOnObservabilityOffPlaceholderLines) {
   ekbd::scenario::SweepOptions opt;
   opt.threads = 2;
   opt.telemetry_path = path;
-  ekbd::scenario::run_scenarios(
+  ekbd::scenario::sweep<ekbd::scenario::Scenario>(
       {cfg, cfg}, [](std::size_t, ekbd::scenario::Scenario&) {}, opt);
 
   std::ifstream in(path);

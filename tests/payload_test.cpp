@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <variant>
 
 #include "sim/event_log.hpp"
@@ -181,6 +182,20 @@ TEST(Payload, DataSegmentBitFieldsRoundTrip) {
   EXPECT_EQ(lo.logical_seq(), 0u);
   EXPECT_EQ(lo.layer(), MsgLayer::kDining);
   EXPECT_EQ(lo.inner_tag(), 0);
+}
+
+TEST(Payload, DataSegmentRefusesOutOfRangeSeqsInsteadOfTruncating) {
+  using net::DataSegment;
+  // One past each field, and a streamed-recorder-shaped seq
+  // ((segment << 40) | local), which masking would have truncated to
+  // `local` and booked against another message.
+  EXPECT_THROW(DataSegment(0, MsgLayer::kDining, DataSegment::kMaxLogicalSeq + 1, 0, 0, 0),
+               std::out_of_range);
+  EXPECT_THROW(DataSegment(0, MsgLayer::kDining, (3ULL << 40) | 7, 0, 0, 0), std::out_of_range);
+  EXPECT_THROW(DataSegment(DataSegment::kMaxSeq + 1, MsgLayer::kDining, 0, 0, 0, 0),
+               std::out_of_range);
+  EXPECT_NO_THROW(DataSegment(DataSegment::kMaxSeq, MsgLayer::kDining,
+                              DataSegment::kMaxLogicalSeq, 0, 0, 0));
 }
 
 TEST(Payload, EventLogStillReportsUnqualifiedTypeNames) {

@@ -87,8 +87,7 @@ TEST(Recovery, SimRejoinerReacquiresForksCleanly) {
   }
 
   // Online monitors and post-hoc checkers tell the same story.
-  EXPECT_EQ(sc.monitors()->agreement_failures(sc.trace(), sc.graph(), sc.sim().network()),
-            "");
+  EXPECT_EQ(sc.monitor_agreement(), "");
 }
 
 TEST(Recovery, SimAdjacentDoubleCrashBothRejoin) {

@@ -452,7 +452,7 @@ TEST(RtScenarioTest, FuzzSweepMonitorAgreementOnEveryRun) {
   }
   ekbd::scenario::SweepOptions sweep;
   sweep.threads = 2;  // each job spawns n=6 actor threads of its own
-  ekbd::scenario::run_rt_scenarios(
+  ekbd::scenario::sweep<ekbd::scenario::RtScenario>(
       configs, [](std::size_t i, ekbd::scenario::RtScenario& s) {
         SCOPED_TRACE("config " + std::to_string(i));
         EXPECT_EQ(s.monitor_agreement(), "");
