@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline.hpp"
 #include "core/messages.hpp"
 #include "graph/topology.hpp"
 #include "obs/metrics.hpp"
@@ -158,24 +159,6 @@ void write_json(const std::string& path, const std::vector<Result>& results, boo
   out << "  ]\n}\n";
 }
 
-/// Minimal scrape of a prior e21 JSON: "key": "...", ... "per_sec": N.
-bool load_baseline(const std::string& path, std::vector<std::pair<std::string, double>>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto kpos = line.find("\"key\": \"");
-    const auto vpos = line.find("\"per_sec\": ");
-    if (kpos == std::string::npos || vpos == std::string::npos) continue;
-    const auto kstart = kpos + 8;
-    const auto kend = line.find('"', kstart);
-    if (kend == std::string::npos) continue;
-    out.emplace_back(line.substr(kstart, kend - kstart),
-                     std::strtod(line.c_str() + vpos + 11, nullptr));
-  }
-  return true;
-}
-
 // One deliberately small fully-instrumented run: the same echo storm with
 // the metrics registry attached and an EventLog recording every envelope.
 // Feeds --telemetry (registry snapshot as one JSONL line) and --perfetto
@@ -290,13 +273,15 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::vector<std::pair<std::string, double>> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
+    const auto baseline = bench::load_baseline_rows(baseline_path);
+    if (!baseline) {
       std::fprintf(stderr, "e21: cannot read baseline %s\n", baseline_path.c_str());
       return 2;
     }
     int regressions = 0;
-    for (const auto& [key, base] : baseline) {
+    for (const obs::json::Value& row : *baseline) {
+      const std::string key = bench::row_key(row);
+      const double base = row.num_or("per_sec", 0.0);
       for (const Result& r : results) {
         if (r.key() != key || base <= 0.0) continue;
         const double ratio = static_cast<double>(r.per_sec()) / base;

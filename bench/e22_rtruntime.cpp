@@ -1,20 +1,23 @@
 // E22 — real-threads runtime wall-clock characteristics.
 //
 // The rt engine (src/rt/) runs the same protocol code as the simulator on
-// one OS thread per process. This bench records what that costs on real
+// a shard-per-core executor. This bench records what that costs on real
 // hardware:
 //
-//  * mailbox mode — raw MPSC mailbox throughput, lock-free ring vs the
-//    mutex+condvar baseline: P producer threads blast messages at one
-//    consumer thread. Reported as msgs/sec. This is the per-hop floor of
-//    everything the rt engine does.
+//  * mailbox mode — raw MPSC mailbox throughput of the lock-free ring:
+//    P producer threads blast messages at one consumer thread. Reported
+//    as msgs/sec. This is the per-hop floor of everything the rt engine
+//    does.
 //
 //  * e2e mode — a full crash-faulted lossy dining scenario on the rt
-//    engine (ring of waitfree diners, heartbeat ◇P₁, live monitors),
-//    for both mailbox kinds. Reported as recorded events/sec (transport
-//    events + trace events per wall second) plus meals completed. The
-//    online monitors double as a correctness canary: any disagreement
-//    with the post-hoc checkers fails the bench.
+//    engine (ring of waitfree diners, heartbeat ◇P₁, live monitors).
+//    Reported as recorded events/sec (transport events + trace events per
+//    wall second) plus meals completed. The online monitors double as a
+//    correctness canary: any disagreement with the post-hoc checkers
+//    fails the bench.
+//
+// Row keys keep their "/lockfree" suffix from when a mutex mailbox ran
+// beside the ring, so artifacts stay comparable across versions.
 //
 // Wall-clock numbers are machine- and load-dependent, so unlike E21 this
 // bench is NOT perf-gated in CI — the JSON is recorded as an artifact to
@@ -48,18 +51,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 struct Result {
   std::string mode;  // "mailbox" | "e2e"
-  std::string kind;  // mailbox kind
   std::uint64_t events = 0;
   double wall_s = 0.0;
   std::uint64_t meals = 0;  // e2e only
   [[nodiscard]] std::uint64_t per_sec() const {
     return wall_s <= 0.0 ? 0 : static_cast<std::uint64_t>(static_cast<double>(events) / wall_s);
   }
-  [[nodiscard]] std::string key() const { return mode + "/" + kind; }
+  [[nodiscard]] std::string key() const { return mode + "/lockfree"; }
 };
 
-Result run_mailbox(rt::MailboxKind kind, int producers, std::uint64_t per_producer) {
-  auto mb = rt::make_mailbox(kind, 1024);
+Result run_mailbox(int producers, std::uint64_t per_producer) {
+  rt::MpscRingMailbox mb(1024);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(producers));
@@ -69,7 +71,7 @@ Result run_mailbox(rt::MailboxKind kind, int producers, std::uint64_t per_produc
       m.from = static_cast<ProcessId>(p);
       for (std::uint64_t i = 0; i < per_producer; ++i) {
         m.seq = i;
-        while (!mb->try_push(m)) std::this_thread::yield();
+        while (!mb.try_push(m)) std::this_thread::yield();
       }
     });
   }
@@ -77,7 +79,7 @@ Result run_mailbox(rt::MailboxKind kind, int producers, std::uint64_t per_produc
   std::uint64_t popped = 0;
   sim::Message out;
   while (popped < total) {
-    if (mb->try_pop(out)) {
+    if (mb.try_pop(out)) {
       ++popped;
     } else {
       std::this_thread::yield();
@@ -86,7 +88,6 @@ Result run_mailbox(rt::MailboxKind kind, int producers, std::uint64_t per_produc
   for (auto& t : threads) t.join();
   Result r;
   r.mode = "mailbox";
-  r.kind = rt::to_string(kind);
   r.events = total;
   r.wall_s = seconds_since(t0);
   return r;
@@ -94,7 +95,7 @@ Result run_mailbox(rt::MailboxKind kind, int producers, std::uint64_t per_produc
 
 /// Full rt dining scenario; returns the result plus whether the online
 /// monitors agreed with the post-hoc checkers (the canary).
-Result run_e2e(rt::MailboxKind kind, Time horizon, bool& agreement_ok) {
+Result run_e2e(Time horizon, bool& agreement_ok) {
   scenario::Config cfg;
   cfg.engine = scenario::Engine::kRt;
   cfg.seed = 2026;
@@ -104,7 +105,6 @@ Result run_e2e(rt::MailboxKind kind, Time horizon, bool& agreement_ok) {
   cfg.detector = scenario::DetectorKind::kHeartbeat;
   cfg.net_mode = scenario::NetMode::kLossy;
   cfg.observability = true;
-  cfg.rt_mutex_mailbox = kind == rt::MailboxKind::kMutex;
   cfg.crashes = {{2, horizon / 3}, {5, horizon / 2}};
   cfg.run_for = horizon;
 
@@ -113,14 +113,12 @@ Result run_e2e(rt::MailboxKind kind, Time horizon, bool& agreement_ok) {
   s.run();
   Result r;
   r.mode = "e2e";
-  r.kind = rt::to_string(kind);
   r.wall_s = seconds_since(t0);
   r.events = s.event_log()->size() + s.trace().size();
   r.meals = s.trace().count(dining::TraceEventKind::kStartEating);
   const std::string agreement = s.monitor_agreement();
   if (!agreement.empty()) {
-    std::fprintf(stderr, "E22 e2e/%s: MONITOR DISAGREEMENT\n%s\n", r.kind.c_str(),
-                 agreement.c_str());
+    std::fprintf(stderr, "E22 e2e: MONITOR DISAGREEMENT\n%s\n", agreement.c_str());
     agreement_ok = false;
   }
   return r;
@@ -133,7 +131,7 @@ void write_json(const std::string& path, const std::vector<Result>& results, boo
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     out << "    {\"key\": \"" << r.key() << "\", \"mode\": \"" << r.mode
-        << "\", \"kind\": \"" << r.kind << "\", \"events\": " << r.events
+        << "\", \"events\": " << r.events
         << ", \"wall_s\": " << r.wall_s << ", \"per_sec\": " << r.per_sec()
         << ", \"meals\": " << r.meals << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -163,20 +161,14 @@ int main(int argc, char** argv) {
   std::printf("E22: rt runtime wall-clock characteristics%s\n",
               smoke ? " (smoke)" : "");
 
-  std::vector<Result> results;
   bool agreement_ok = true;
-  for (const auto kind : {rt::MailboxKind::kLockFree, rt::MailboxKind::kMutex}) {
-    results.push_back(run_mailbox(kind, producers, per_producer));
-  }
-  for (const auto kind : {rt::MailboxKind::kLockFree, rt::MailboxKind::kMutex}) {
-    results.push_back(run_e2e(kind, horizon, agreement_ok));
-  }
+  const std::vector<Result> results = {run_mailbox(producers, per_producer),
+                                       run_e2e(horizon, agreement_ok)};
 
-  util::Table t({"mode", "mailbox", "events", "wall_s", "per_sec", "meals"});
+  util::Table t({"mode", "events", "wall_s", "per_sec", "meals"});
   for (const Result& r : results) {
     t.row()
         .cell(r.mode)
-        .cell(r.kind)
         .cell(r.events)
         .cell(r.wall_s, 3)
         .cell(r.per_sec())

@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline.hpp"
 #include "dining/checkers.hpp"
 #include "mc/liveness.hpp"
 #include "scenario/liveness.hpp"
@@ -251,42 +252,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows, bool smok
   out << "  ]\n}\n";
 }
 
-struct BaselineRow {
-  std::string key;
-  bool gated = false;
-  std::uint64_t states = 0, sccs = 0, fair = 0;
-  int violation = 0;
-};
-
-/// Minimal scrape of a prior e23 JSON (one row object per line).
-bool load_baseline(const std::string& path, std::vector<BaselineRow>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  auto field = [&line](const char* name, long long dflt) -> long long {
-    const std::string pat = std::string("\"") + name + "\": ";
-    const auto pos = line.find(pat);
-    if (pos == std::string::npos) return dflt;
-    return std::strtoll(line.c_str() + pos + pat.size(), nullptr, 10);
-  };
-  while (std::getline(in, line)) {
-    const auto kpos = line.find("\"key\": \"");
-    if (kpos == std::string::npos) continue;
-    const auto kstart = kpos + 8;
-    const auto kend = line.find('"', kstart);
-    if (kend == std::string::npos) continue;
-    BaselineRow b;
-    b.key = line.substr(kstart, kend - kstart);
-    b.gated = line.find("\"gated\": true") != std::string::npos;
-    b.states = static_cast<std::uint64_t>(field("states", 0));
-    b.sccs = static_cast<std::uint64_t>(field("sccs", 0));
-    b.fair = static_cast<std::uint64_t>(field("fair", 0));
-    b.violation = static_cast<int>(field("violation", 0));
-    out.push_back(std::move(b));
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -448,24 +413,30 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::vector<BaselineRow> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
+    const auto baseline = bench::load_baseline_rows(baseline_path);
+    if (!baseline) {
       std::fprintf(stderr, "e23: cannot read baseline %s\n", baseline_path.c_str());
       return 2;
     }
-    for (const BaselineRow& b : baseline) {
-      if (!b.gated) continue;
+    for (const obs::json::Value& b : *baseline) {
+      const obs::json::Value* gated = b.find("gated");
+      if (gated == nullptr || !gated->boolean) continue;
+      const std::string key = bench::row_key(b);
+      const auto states = static_cast<std::uint64_t>(b.num_or("states", 0));
+      const auto sccs = static_cast<std::uint64_t>(b.num_or("sccs", 0));
+      const auto fair = static_cast<std::uint64_t>(b.num_or("fair", 0));
+      const int violation = static_cast<int>(b.num_or("violation", 0));
       for (const Row& r : rows) {
-        if (r.key != b.key) continue;
-        if (r.states != b.states || r.sccs != b.sccs || r.fair != b.fair ||
-            (r.violation ? 1 : 0) != b.violation) {
+        if (r.key != key) continue;
+        if (r.states != states || r.sccs != sccs || r.fair != fair ||
+            (r.violation ? 1 : 0) != violation) {
           std::fprintf(stderr,
                        "e23 BASELINE DRIFT: %s states %llu vs %llu, sccs %llu vs %llu, "
                        "fair %llu vs %llu, violation %d vs %d\n",
-                       b.key.c_str(), (unsigned long long)r.states,
-                       (unsigned long long)b.states, (unsigned long long)r.sccs,
-                       (unsigned long long)b.sccs, (unsigned long long)r.fair,
-                       (unsigned long long)b.fair, r.violation ? 1 : 0, b.violation);
+                       key.c_str(), (unsigned long long)r.states,
+                       (unsigned long long)states, (unsigned long long)r.sccs,
+                       (unsigned long long)sccs, (unsigned long long)r.fair,
+                       (unsigned long long)fair, r.violation ? 1 : 0, violation);
           ++failures;
         }
       }

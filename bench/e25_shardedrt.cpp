@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline.hpp"
 #include "scenario/rt_scenario.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -102,9 +103,6 @@ scenario::Config base_config(std::size_t n, Time horizon) {
   cfg.observability = true;                         // live monitors attached
   cfg.run_for = horizon;
   cfg.rt_tick_ns = 100'000;
-  // Small rings: at 10⁵ actors the default 1024-slot mailboxes alone would
-  // be ~7 GB. Backpressure (push_blocking + helping) handles the bursts.
-  cfg.rt_mailbox_capacity = 16;
   // Dense herd: everyone gets hungry in the first half, one session each.
   cfg.harness.first_hunger_hi = horizon / 2;
   cfg.harness.think_lo = horizon;
@@ -203,25 +201,6 @@ void write_json(const std::string& path, const std::vector<Result>& results,
   out << "  ]\n}\n";
 }
 
-/// Minimal scrape of a prior e25 JSON: per-row key + actors_per_sec.
-bool load_baseline(const std::string& path,
-                   std::vector<std::pair<std::string, double>>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto kpos = line.find("\"key\": \"");
-    const auto vpos = line.find("\"actors_per_sec\": ");
-    if (kpos == std::string::npos || vpos == std::string::npos) continue;
-    const auto kstart = kpos + 8;
-    const auto kend = line.find('"', kstart);
-    if (kend == std::string::npos) continue;
-    out.emplace_back(line.substr(kstart, kend - kstart),
-                     std::strtod(line.c_str() + vpos + 18, nullptr));
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -311,12 +290,14 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::vector<std::pair<std::string, double>> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
+    const auto baseline = bench::load_baseline_rows(baseline_path);
+    if (!baseline) {
       std::fprintf(stderr, "e25: cannot read baseline %s\n", baseline_path.c_str());
       return 2;
     }
-    for (const auto& [key, base] : baseline) {
+    for (const obs::json::Value& row : *baseline) {
+      const std::string key = bench::row_key(row);
+      const double base = row.num_or("actors_per_sec", 0.0);
       // The thread-per-actor rows exist only as the ratio's denominator;
       // their wall clock swings ~3x run-to-run (scheduler thrash on 10⁴
       // threads), so only the sharded rows are floor-gated.

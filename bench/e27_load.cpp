@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline.hpp"
 #include "scenario/load_scenario.hpp"
 #include "util/table.hpp"
 
@@ -200,25 +201,6 @@ void write_json(const std::string& path, const std::vector<Cell>& cells, bool sm
   out << "  ]\n}\n";
 }
 
-/// Scrape key + latency_p99 pairs from a prior e27 JSON.
-bool load_baseline(const std::string& path,
-                   std::vector<std::pair<std::string, double>>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto kpos = line.find("\"key\": \"");
-    const auto vpos = line.find("\"latency_p99\": ");
-    if (kpos == std::string::npos || vpos == std::string::npos) continue;
-    const auto kstart = kpos + 8;
-    const auto kend = line.find('"', kstart);
-    if (kend == std::string::npos) continue;
-    out.emplace_back(line.substr(kstart, kend - kstart),
-                     std::strtod(line.c_str() + vpos + 15, nullptr));
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -308,15 +290,17 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::vector<std::pair<std::string, double>> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
+    const auto baseline = bench::load_baseline_rows(baseline_path);
+    if (!baseline) {
       std::fprintf(stderr, "e27: cannot read baseline %s\n", baseline_path.c_str());
       return 2;
     }
     // p99 regression floor: a cell may not blow past max(2x, +100 ticks)
     // of its recorded baseline (the absolute slack absorbs noise on the
     // keep-up cells whose p99 sits near one eat duration).
-    for (const auto& [key, base] : baseline) {
+    for (const obs::json::Value& row : *baseline) {
+      const std::string key = bench::row_key(row);
+      const double base = row.num_or("latency_p99", 0.0);
       for (const Cell& c : cells) {
         if (c.key() != key || base <= 0.0) continue;
         const double floor = std::max(2.0 * base, base + 100.0);

@@ -1,5 +1,5 @@
 /// \file mailbox.hpp
-/// Bounded MPSC mailboxes for the real-threads runtime.
+/// The bounded MPSC mailbox of the real-threads runtime.
 ///
 /// Every actor owns one mailbox; any thread may push (its conflict-graph
 /// neighbors, the driver, fault injectors), and exactly one thread at a
@@ -7,19 +7,15 @@
 /// sharded executor (rt/runtime.hpp). The claim handoff is a seq_cst
 /// store/CAS pair on the actor's state word, so the consumer role may
 /// migrate between shard workers — each new consumer sees every prior
-/// consumer's cursor and slot recycling. Two implementations behind one
-/// interface:
+/// consumer's cursor and slot recycling.
 ///
-///  * `MutexMailbox` — the obviously-correct baseline: a deque under a
-///    mutex. Used as the reference in the stress tests and selectable via
-///    `MailboxKind::kMutex` to bisect suspected queue bugs.
-///  * `MpscRingMailbox` — the fast path: a bounded ring of
-///    per-cell-sequenced slots (Vyukov's bounded queue, used MPSC).
-///    Producers claim a slot with one CAS on the head ticket and publish
-///    the payload with one release store; the consumer pops with plain
-///    loads plus one acquire per cell. No locks, no allocation after
-///    construction — `sim::Message` is trivially copyable, so a push is a
-///    ticket claim plus a memcpy.
+/// `MpscRingMailbox` is a bounded ring of per-cell-sequenced slots
+/// (`VyukovRing`, used MPSC). Producers claim a slot with one CAS on the
+/// head ticket and publish the payload with one release store; the
+/// consumer pops with plain loads plus one acquire per cell. No locks,
+/// no allocation after construction — `sim::Message` is trivially
+/// copyable, so a push is a ticket claim plus a memcpy. The runtime sizes
+/// each ring from the paper's channel bound (P6): `Runtime::mailbox_bound`.
 ///
 /// FIFO guarantee: a producer's pushes claim head tickets in program
 /// order, and the consumer pops in ticket order — so *per-producer* order
@@ -35,103 +31,23 @@
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "sim/message.hpp"
 
 namespace ekbd::rt {
 
-enum class MailboxKind {
-  kLockFree,  ///< MpscRingMailbox (default)
-  kMutex,     ///< MutexMailbox baseline
-};
-
-[[nodiscard]] inline const char* to_string(MailboxKind k) {
-  return k == MailboxKind::kLockFree ? "lockfree" : "mutex";
-}
-
-class Mailbox {
- public:
-  virtual ~Mailbox() = default;
-
-  /// Enqueue a copy of `m`; false if the mailbox is full (caller retries —
-  /// the runtime's push loop yields between attempts).
-  virtual bool try_push(const sim::Message& m) = 0;
-
-  /// Dequeue into `out`; false if empty. Single consumer at a time (the
-  /// dispatch-claim holder).
-  virtual bool try_pop(sim::Message& out) = 0;
-
-  /// Bulk drain: pop up to `max` messages into `out`, returning how many
-  /// were popped (0 when empty). Same consumer contract as try_pop. The
-  /// ring implementation writes its cursor once per batch instead of once
-  /// per message — this is what amortizes the executor's park/wake and
-  /// state-machine costs across a burst.
-  virtual std::size_t pop_n(sim::Message* out, std::size_t max) = 0;
-
-  /// Conservative "work may be pending" probe for the park/wake handshake:
-  /// may report true for an item whose payload is still being published
-  /// (the consumer just polls again), but after a producer's push is
-  /// complete, a probe that is sequenced after the consumer's
-  /// `sleeping = true` store (both seq_cst) is guaranteed to see it —
-  /// that pairing is what rules out lost wakeups (see Runtime's loop).
-  [[nodiscard]] virtual bool maybe_nonempty() const = 0;
-
-  [[nodiscard]] virtual std::size_t capacity() const = 0;
-};
-
-/// Baseline: std::deque under a mutex, capacity-bounded.
-class MutexMailbox final : public Mailbox {
- public:
-  explicit MutexMailbox(std::size_t capacity) : capacity_(capacity) {}
-
-  bool try_push(const sim::Message& m) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.size() >= capacity_) return false;
-    items_.push_back(m);
-    return true;
-  }
-
-  bool try_pop(sim::Message& out) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    out = items_.front();
-    items_.pop_front();
-    return true;
-  }
-
-  std::size_t pop_n(sim::Message* out, std::size_t max) override {
-    // One lock for the whole batch — the baseline's version of the
-    // amortization the ring gets from its single cursor store.
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    while (n < max && !items_.empty()) {
-      out[n++] = items_.front();
-      items_.pop_front();
-    }
-    return n;
-  }
-
-  [[nodiscard]] bool maybe_nonempty() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !items_.empty();
-  }
-
-  [[nodiscard]] std::size_t capacity() const override { return capacity_; }
-
- private:
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::deque<sim::Message> items_;
-};
-
-/// Fast path: bounded MPSC ring with per-cell sequence numbers.
-class MpscRingMailbox final : public Mailbox {
+/// Vyukov's bounded queue: a power-of-two ring of per-cell-sequenced
+/// slots. Any number of producers claim a slot with one CAS on the head
+/// ticket and publish with one release store. The consumer side belongs to
+/// the subclass: the mailbox below has one consumer, the executor's run
+/// queue (rt/runtime.hpp) has many.
+template <typename T>
+class VyukovRing {
  public:
   /// Capacity is rounded up to a power of two (minimum 2).
-  explicit MpscRingMailbox(std::size_t capacity) {
+  explicit VyukovRing(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     cells_ = std::make_unique<Cell[]>(cap);
@@ -141,7 +57,8 @@ class MpscRingMailbox final : public Mailbox {
     }
   }
 
-  bool try_push(const sim::Message& m) override {
+  /// Enqueue a copy of `v`; false if the ring is full.
+  bool try_push(const T& v) {
     std::size_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {
       Cell& cell = cells_[pos & mask_];
@@ -154,34 +71,62 @@ class MpscRingMailbox final : public Mailbox {
         // `sleeping` probe (lost-wakeup handshake).
         if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
-          cell.msg = m;
+          cell.value = v;
           cell.seq.store(pos + 1, std::memory_order_release);
           return true;
         }
         // CAS failure reloaded `pos`; retry with the fresh ticket.
       } else if (dif < 0) {
-        return false;  // the slot still holds an unconsumed message: full
+        return false;  // the slot still holds an unconsumed value: full
       } else {
         pos = head_.load(std::memory_order_relaxed);
       }
     }
   }
 
-  bool try_pop(sim::Message& out) override {
+  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
+
+ protected:
+  struct Cell {
+    std::atomic<std::size_t> seq{0};
+    T value;
+  };
+
+  std::unique_ptr<Cell[]> cells_;
+  std::size_t mask_ = 0;
+  alignas(64) std::atomic<std::size_t> head_{0};  ///< producers' ticket
+  alignas(64) std::atomic<std::size_t> tail_{0};  ///< consumers' cursor
+};
+
+/// The actor mailbox: a VyukovRing of messages with one consumer at a
+/// time, the dispatch-claim holder. A failed push is the runtime's cue to
+/// help the consumer drain (push_blocking).
+class MpscRingMailbox final : public VyukovRing<sim::Message> {
+ public:
+  using VyukovRing::VyukovRing;
+
+  /// Dequeue into `out`; false if empty. Single consumer at a time (the
+  /// dispatch-claim holder).
+  bool try_pop(sim::Message& out) {
     const std::size_t pos = tail_.load(std::memory_order_relaxed);
     Cell& cell = cells_[pos & mask_];
     const std::size_t seq = cell.seq.load(std::memory_order_acquire);
     const auto dif =
         static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1);
     if (dif < 0) return false;  // not yet published (empty, or mid-publish)
-    out = cell.msg;
+    out = cell.value;
     // Release the slot for the producer one lap ahead.
     cell.seq.store(pos + mask_ + 1, std::memory_order_release);
     tail_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
 
-  std::size_t pop_n(sim::Message* out, std::size_t max) override {
+  /// Bulk drain: pop up to `max` messages into `out`, returning how many
+  /// were popped (0 when empty). Same consumer contract as try_pop. The
+  /// cursor is written once per batch instead of once per message — this
+  /// is what amortizes the executor's park/wake and state-machine costs
+  /// across a burst.
+  std::size_t pop_n(sim::Message* out, std::size_t max) {
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     std::size_t n = 0;
     while (n < max) {
@@ -190,7 +135,7 @@ class MpscRingMailbox final : public Mailbox {
       if (static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1) < 0) {
         break;  // next slot not yet published: drained everything visible
       }
-      out[n++] = cell.msg;
+      out[n++] = cell.value;
       cell.seq.store(pos + mask_ + 1, std::memory_order_release);
       ++pos;
     }
@@ -198,31 +143,25 @@ class MpscRingMailbox final : public Mailbox {
     return n;
   }
 
-  [[nodiscard]] bool maybe_nonempty() const override {
+  /// Conservative "work may be pending" probe for the park/wake handshake:
+  /// may report true for an item whose payload is still being published
+  /// (the consumer just polls again), but after a producer's push is
+  /// complete, a probe that is sequenced after the consumer's
+  /// `sleeping = true` store (both seq_cst) is guaranteed to see it —
+  /// that pairing is what rules out lost wakeups (see Runtime's loop).
+  [[nodiscard]] bool maybe_nonempty() const {
     // seq_cst on the head ticket: pairs with the claim CAS in try_push for
     // the Dekker-style store/load handshake in the worker's park path.
     return head_.load(std::memory_order_seq_cst) !=
            tail_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::size_t capacity() const override { return mask_ + 1; }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> seq{0};
-    sim::Message msg;
-  };
-
-  std::unique_ptr<Cell[]> cells_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  ///< producers' ticket
-  alignas(64) std::atomic<std::size_t> tail_{0};  ///< consumer's cursor
+  /// Slots claimed and not yet popped, including claims whose payload is
+  /// still being published. Consumer-side only: between two drains the
+  /// count can only grow, so a read just before each drain sees the peak.
+  [[nodiscard]] std::size_t occupancy() const {
+    return head_.load(std::memory_order_relaxed) - tail_.load(std::memory_order_relaxed);
+  }
 };
-
-[[nodiscard]] inline std::unique_ptr<Mailbox> make_mailbox(MailboxKind kind,
-                                                           std::size_t capacity) {
-  if (kind == MailboxKind::kMutex) return std::make_unique<MutexMailbox>(capacity);
-  return std::make_unique<MpscRingMailbox>(capacity);
-}
 
 }  // namespace ekbd::rt

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <utility>
+
+#include "dining/diner.hpp"
 
 namespace ekbd::rt {
 
@@ -10,6 +13,15 @@ namespace {
 /// Salt separating the fault-coin streams from the actor rng streams
 /// (both are forked per process id from the master seed).
 constexpr std::uint64_t kFaultSalt = 0x9e3779b97f4a7c15ULL;
+
+// Executor tuning (docs/RUNTIME.md): no caller needs other values.
+constexpr int kDispatchBatch = 64;       ///< handlers per claim before it is released
+constexpr std::size_t kDrainBurst = 16;  ///< messages per bulk mailbox drain
+constexpr int kSpinPolls = 64;           ///< idle probes before a worker parks
+constexpr std::chrono::nanoseconds kParkCap{2'000'000};  ///< also the helping latency bound
+constexpr std::uint64_t kStreamWindowTicks = 50;  ///< recorder merge window
+constexpr std::size_t kStreamPendingCap = 0;      ///< pending records before shedding; 0 = off
+constexpr int kMaxHelpDepth = 4;  ///< nested help-dispatch cap
 
 /// Shard index of the calling worker thread (-1 off the shard pool):
 /// routes helper/stealer counters to the thread's OWN shard so the
@@ -32,7 +44,6 @@ sim::ProcessId Runtime::add_actor(std::unique_ptr<sim::Actor> actor) {
   actors_.push_back(std::move(actor));
 
   auto cell = std::make_unique<ActorCell>();
-  cell->mailbox = make_mailbox(opt_.mailbox, opt_.mailbox_capacity);
   // Same derivation as Simulator::actor_rng — the cross-engine
   // reproducibility contract of TransportIface. Identical for any shard
   // count: the stream is a pure function of (seed, id) and is drawn only
@@ -86,10 +97,13 @@ void Runtime::start() {
     shards_.push_back(std::make_unique<Shard>(2 * homed[s] + 64));
   }
 
-  // Announce every actor for its first dispatch (on_start, or the tick-0
+  // Size every ring by P6 (mailbox_bound of the diner's degree), then
+  // announce every actor for its first dispatch (on_start, or the tick-0
   // crash) before any worker exists — single-threaded, relaxed is fine.
   for (std::size_t i = 0; i < n; ++i) {
     ActorCell& cell = *cells_[i];
+    const auto* diner = dynamic_cast<const dining::Diner*>(actors_[i].get());
+    cell.mailbox.emplace(mailbox_bound(diner != nullptr ? diner->diner_neighbors().size() : 0));
     cell.home = static_cast<std::uint32_t>(i % shard_count);
     cell.state.store(kQueued, std::memory_order_relaxed);
     const bool pushed = shards_[cell.home]->runq.try_push(static_cast<std::uint32_t>(i));
@@ -103,8 +117,8 @@ void Runtime::start() {
   if (opt_.segmented_recorder) {
     Recorder::StreamOptions sopts;
     sopts.segments = shard_count;
-    sopts.window_ns = opt_.stream_window_ticks * opt_.tick_ns;
-    sopts.pending_cap = opt_.stream_pending_cap;
+    sopts.window_ns = kStreamWindowTicks * opt_.tick_ns;
+    sopts.pending_cap = kStreamPendingCap;
     rec_.begin_stream(sopts);
   }
 
@@ -172,6 +186,14 @@ ExecutorStats Runtime::stats() const {
     out.parks += s->counters.parks.get();
   }
   return out;
+}
+
+MailboxStats Runtime::mailbox_stats(sim::ProcessId p) const {
+  const ActorCell& cell = *cells_[static_cast<std::size_t>(p)];
+  if (!cell.mailbox) return {};
+  // What is still waiting at the join never met a drain: fold it in.
+  return {cell.mailbox->capacity(), std::max(cell.mailbox_high_water, cell.mailbox->occupancy()),
+          cell.mailbox_full.load(std::memory_order_relaxed)};
 }
 
 std::vector<ExecutorStats> Runtime::stats_per_shard() const {
@@ -247,6 +269,7 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
 
 bool Runtime::enqueue(std::uint32_t idx, const sim::Message& m) {
   ActorCell& cell = *cells_[idx];
+  assert(cell.mailbox && "mailboxes are built in start(): send after it");
   if (transport_ == nullptr) {
     push_blocking(idx, m);
     return true;
@@ -259,6 +282,7 @@ bool Runtime::enqueue(std::uint32_t idx, const sim::Message& m) {
     schedule(idx);
     return true;
   }
+  cell.mailbox_full.fetch_add(1, std::memory_order_relaxed);
   rec_.on_congestion_loss(m, now());
   return false;
 }
@@ -280,7 +304,10 @@ void Runtime::cancel_timer(sim::ProcessId owner, sim::TimerId id) {
 void Runtime::push_blocking(std::uint32_t idx, const sim::Message& m) {
   ActorCell& cell = *cells_[idx];
   int spins = 0;
+  bool full = false;
   while (!cell.mailbox->try_push(m)) {
+    // Booked once per push, on the slow path only.
+    if (!std::exchange(full, true)) cell.mailbox_full.fetch_add(1, std::memory_order_relaxed);
     if (stop_.load(std::memory_order_relaxed)) return;
     // Full mailbox: the target is behind. Help it along — claim its
     // dispatch and drain its mailbox on THIS thread. With one shard (or a
@@ -363,9 +390,9 @@ void Runtime::do_recover(ActorCell& cell, sim::Actor& a, sim::ProcessId p) {
   // Recovery fences the inbound channels: everything mailboxed before this
   // instant was addressed to the dead incarnation — drain it as drops
   // (same records a corpse's drain produces) before the actor wakes.
-  sim::Message buf[kMaxDrainBurst];
+  sim::Message buf[kDrainBurst];
   for (;;) {
-    const std::size_t n = cell.mailbox->pop_n(buf, kMaxDrainBurst);
+    const std::size_t n = cell.drain(buf, kDrainBurst);
     if (n == 0) break;
     for (std::size_t i = 0; i < n; ++i) rec_.on_deliver(buf[i], t, /*target_crashed=*/true);
   }
@@ -431,7 +458,7 @@ void Runtime::register_deadline(ActorCell& cell, std::uint32_t idx) {
   }
   // A cross-thread registration (helper ran the dispatch) that shortens
   // the home shard's horizon must interrupt its park, or the timer fires
-  // up to park_cap_ns late.
+  // up to kParkCap late.
   if (improved && tls_shard != static_cast<int>(cell.home)) wake(h);
 }
 
@@ -509,7 +536,7 @@ void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
     dead = false;
   }
 
-  int budget = std::max(1, opt_.dispatch_batch);
+  int budget = kDispatchBatch;
 
   if (!cell.started) {
     cell.started = true;
@@ -525,9 +552,7 @@ void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
     }
   }
 
-  sim::Message buf[kMaxDrainBurst];
-  const std::size_t burst =
-      std::max<std::size_t>(1, std::min(opt_.drain_burst, kMaxDrainBurst));
+  sim::Message buf[kDrainBurst];
 
   while (budget > 0 && !stop_.load(std::memory_order_relaxed)) {
     if (crash_due()) {
@@ -548,8 +573,8 @@ void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
       }
     }
 
-    const auto want = std::min(burst, static_cast<std::size_t>(std::max(budget, 1)));
-    const std::size_t n = cell.mailbox->pop_n(buf, want);
+    const auto want = std::min(kDrainBurst, static_cast<std::size_t>(std::max(budget, 1)));
+    const std::size_t n = cell.drain(buf, want);
     for (std::size_t i = 0; i < n; ++i) {
       rec_.on_deliver(buf[i], clock_.now_ticks(), dead);
       if (!dead) {
@@ -617,7 +642,7 @@ void Runtime::park(Shard& s, Counters* c) {
   };
 
   // Brief spin first: most wakeups arrive within microseconds.
-  for (int i = 0; i < opt_.spin_polls; ++i) {
+  for (int i = 0; i < kSpinPolls; ++i) {
     if (s.runq.maybe_nonempty() ||
         s.overflow_count.load(std::memory_order_relaxed) != 0 ||
         stop_.load(std::memory_order_relaxed) || deadline_due()) {
@@ -628,8 +653,8 @@ void Runtime::park(Shard& s, Counters* c) {
 
   // The cap doubles as the helping latency bound: within one cap every
   // worker re-scans the OTHER shards' queues and registries, so a stalled
-  // shard's announced work waits at most park_cap_ns for a helper.
-  auto deadline = TickClock::WallClock::now() + std::chrono::nanoseconds(opt_.park_cap_ns);
+  // shard's announced work waits at most kParkCap for a helper.
+  auto deadline = TickClock::WallClock::now() + kParkCap;
   const sim::Time nd = s.next_deadline.load(std::memory_order_seq_cst);
   if (nd >= 0) {
     if (nd <= clock_.now_ticks()) return;  // went due during the spin

@@ -30,10 +30,10 @@
 ///    contract becomes "owner's dispatch claim"; every owner-context API
 ///    (set_timer, call_after, dispatch_logical) keeps its contract.
 ///  * A dispatch run fires due timers first (pump cadence survives
-///    message floods), then bulk-drains the mailbox (`Mailbox::pop_n`,
-///    `Options::drain_burst` at a time) up to `Options::dispatch_batch`
-///    handler invocations, re-checking the crash plan between handlers —
-///    crash injection stays exactly at dispatch boundaries.
+///    message floods), then bulk-drains the mailbox
+///    (`MpscRingMailbox::pop_n`, 16 at a time) up to 64 handler
+///    invocations, re-checking the crash plan between handlers — crash
+///    injection stays exactly at dispatch boundaries.
 ///  * finish: register the earliest timer/crash deadline with the home
 ///    shard's timer registry, store kIdle (seq_cst), then RE-CHECK
 ///    mailbox / crash request / deadline registration and re-schedule if
@@ -49,7 +49,7 @@
 /// and a parking lot. A worker loops: drain its own due timers, run its
 /// own queue; when empty, scan a bounded rotating window (≤ 8) of OTHER
 /// shards — drain their due timers (try_lock) and steal from their queues
-/// — and only park (capped at `park_cap_ns`) when its window looks quiet.
+/// — and only park (capped at 2 ms) when its window looks quiet.
 /// The rotation visits every victim across successive idle rounds, so the
 /// scan stays O(1) per round even at shards == n while keeping discovery
 /// of a stalled shard's work bounded by a few park caps.
@@ -66,9 +66,13 @@
 /// kIdle) and dispatches it in place, so backpressure drains the very
 /// mailbox it is waiting on instead of spinning — an acyclic chain of
 /// full mailboxes always makes progress even with one shard (with
-/// shards == 1 self-help is the only drain). Cycles of simultaneously
-/// full mailboxes would deadlock the old engine identically; sizing
-/// mailboxes ≥ degree × in-flight is the operator's job either way.
+/// shards == 1 self-help is the only drain).
+///
+/// The runtime sizes every mailbox itself, in start(), by the paper's P6
+/// channel bound (`mailbox_bound`; the derivation and its measurements
+/// are in docs/RUNTIME.md, "Mailboxes"). Traffic beyond the bound (edges
+/// added by churn, a detector outpacing a stalled consumer) falls back on
+/// this helping push; `mailbox_stats()` shows how close each ring came.
 ///
 /// ## Dekker pairs (lost-wakeup freedom)
 ///
@@ -100,6 +104,7 @@
 ///    rt::replay agreement.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -107,6 +112,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <unordered_map>
@@ -144,22 +150,12 @@ struct FaultParams {
 struct Options {
   std::uint64_t seed = 1;
   std::uint64_t tick_ns = 100'000;        ///< wall nanoseconds per tick (100 µs)
-  std::size_t mailbox_capacity = 1024;    ///< per-actor, rounded up to a power of 2
-  MailboxKind mailbox = MailboxKind::kLockFree;
   FaultParams faults{};
 
   /// Worker shards. 0 = hardware_concurrency; always clamped to
   /// [1, num actors]. `shards == num actors` reproduces the old
   /// thread-per-actor engine (one actor per shard) — the E25 baseline.
   std::size_t shards = 0;
-  /// Max handler dispatches per actor run before the claim is released
-  /// (fairness knob: how long one actor can hog a shard).
-  int dispatch_batch = 64;
-  /// Max messages per bulk mailbox drain (clamped to kMaxDrainBurst).
-  std::size_t drain_burst = 16;
-
-  int spin_polls = 64;                    ///< idle probes before parking
-  std::uint64_t park_cap_ns = 2'000'000;  ///< max condvar wait; also the helping latency bound
 
   /// Record through per-shard segments merged by a collector thread
   /// instead of the single recorder mutex (recorder.hpp "segmented
@@ -167,12 +163,14 @@ struct Options {
   /// executor; turn off for the old direct mode (the rt_stream
   /// equivalence tests run both and assert identical verdicts).
   bool segmented_recorder = true;
-  /// Collector merge window in ticks (converted via tick_ns): how often
-  /// the segment buffers are merged into the monitors' stream.
-  std::uint64_t stream_window_ticks = 50;
-  /// Bound on records buffered ahead of the merge horizon before the
-  /// stream sheds (counted, like EventLog drops); 0 = unbounded.
-  std::size_t stream_pending_cap = 0;
+};
+
+/// One actor's mailbox books (Runtime::mailbox_stats), exact after
+/// stop_and_join.
+struct MailboxStats {
+  std::size_t capacity = 0;       ///< ring slots (0 before start())
+  std::size_t high_water = 0;     ///< most messages ever waiting at once
+  std::uint64_t full_pushes = 0;  ///< pushes that found the ring full
 };
 
 /// Aggregated executor counters. Exact after stop_and_join; readable live
@@ -311,6 +309,19 @@ class Runtime final : public sim::TransportIface {
   /// Per-shard executor counters, indexed by shard — the live telemetry
   /// loop's per-shard counter tracks. Same freshness as stats().
   [[nodiscard]] std::vector<ExecutorStats> stats_per_shard() const;
+  /// `p`'s mailbox books; read them after stop_and_join (the high-water
+  /// mark is dispatch-confined state while workers run).
+  [[nodiscard]] MailboxStats mailbox_stats(sim::ProcessId p) const;
+
+  /// Detector and transport slack over the dining traffic, measured on
+  /// the ideal network (docs/RUNTIME.md, "Mailboxes").
+  static constexpr std::size_t kMailboxSlack = 8;
+  /// Most messages a diner of degree `deg` should have waiting on the
+  /// ideal network: P6's 4 per edge plus the slack. Its ring is this
+  /// rounded up to a power of two; a non-diner counts as degree 0.
+  [[nodiscard]] static constexpr std::size_t mailbox_bound(std::size_t deg) {
+    return 4 * deg + kMailboxSlack;
+  }
 
   [[nodiscard]] const TickClock& clock() const { return clock_; }
   [[nodiscard]] const Options& options() const { return opt_; }
@@ -335,9 +346,6 @@ class Runtime final : public sim::TransportIface {
   static constexpr std::uint32_t kQueued = 1;
   static constexpr std::uint32_t kRunning = 2;
 
-  static constexpr std::size_t kMaxDrainBurst = 64;
-  static constexpr int kMaxHelpDepth = 4;  ///< nested help-dispatch cap
-
   struct TimerEntry {
     sim::Time at = 0;
     sim::TimerId id = 0;
@@ -348,87 +356,49 @@ class Runtime final : public sim::TransportIface {
     }
   };
 
-  /// Bounded MPMC ring of actor indices (Vyukov, both ends multi). Entries
-  /// are scheduling hints — losing a claim CAS after popping one is fine —
-  /// but entries themselves must not be lost, so a full ring overflows to
-  /// the shard's mutexed list instead of dropping (see schedule()).
-  class RunQueue {
+  /// Bounded MPMC ring of actor indices (the mailbox's VyukovRing, with
+  /// many consumers). Entries are scheduling hints — losing a claim CAS
+  /// after popping one is fine — but entries themselves must not be lost,
+  /// so a full ring overflows to the shard's mutexed list instead of
+  /// dropping (see schedule()). The seq_cst ticket CAS in try_push is
+  /// globally ordered before the pusher's `sleeping` probe (lost-wakeup
+  /// handshake with park()).
+  class RunQueue final : public VyukovRing<std::uint32_t> {
    public:
-    explicit RunQueue(std::size_t capacity) {
-      std::size_t cap = 2;
-      while (cap < capacity) cap <<= 1;
-      cells_ = std::make_unique<Cell[]>(cap);
-      mask_ = cap - 1;
-      for (std::size_t i = 0; i < cap; ++i) {
-        cells_[i].seq.store(i, std::memory_order_relaxed);
-      }
-    }
-
-    bool try_push(std::uint32_t v) {
-      std::size_t pos = enq_.load(std::memory_order_relaxed);
-      for (;;) {
-        Cell& cell = cells_[pos & mask_];
-        const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-        const auto dif =
-            static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
-        if (dif == 0) {
-          // seq_cst claim: globally ordered before the pusher's subsequent
-          // `sleeping` probe (lost-wakeup handshake with park()).
-          if (enq_.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
-                                         std::memory_order_relaxed)) {
-            cell.v = v;
-            cell.seq.store(pos + 1, std::memory_order_release);
-            return true;
-          }
-        } else if (dif < 0) {
-          return false;  // full
-        } else {
-          pos = enq_.load(std::memory_order_relaxed);
-        }
-      }
-    }
+    using VyukovRing::VyukovRing;
 
     bool try_pop(std::uint32_t& v) {
-      std::size_t pos = deq_.load(std::memory_order_relaxed);
+      std::size_t pos = tail_.load(std::memory_order_relaxed);
       for (;;) {
         Cell& cell = cells_[pos & mask_];
         const std::size_t seq = cell.seq.load(std::memory_order_acquire);
         const auto dif =
             static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1);
         if (dif == 0) {
-          if (deq_.compare_exchange_weak(pos, pos + 1, std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-            v = cell.v;  // published before seq (release), visible via acquire
+          if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+            v = cell.value;  // published before seq (release), visible via acquire
             cell.seq.store(pos + mask_ + 1, std::memory_order_release);
             return true;
           }
         } else if (dif < 0) {
           return false;  // empty
         } else {
-          pos = deq_.load(std::memory_order_relaxed);
+          pos = tail_.load(std::memory_order_relaxed);
         }
       }
     }
 
     [[nodiscard]] bool maybe_nonempty() const {
-      return enq_.load(std::memory_order_seq_cst) !=
-             deq_.load(std::memory_order_seq_cst);
+      return head_.load(std::memory_order_seq_cst) !=
+             tail_.load(std::memory_order_seq_cst);
     }
-
-   private:
-    struct Cell {
-      std::atomic<std::size_t> seq{0};
-      std::uint32_t v = 0;
-    };
-    std::unique_ptr<Cell[]> cells_;
-    std::size_t mask_ = 0;
-    alignas(64) std::atomic<std::size_t> enq_{0};
-    alignas(64) std::atomic<std::size_t> deq_{0};
   };
 
   struct ActorCell {
-    std::unique_ptr<Mailbox> mailbox;
+    std::optional<MpscRingMailbox> mailbox;  ///< sized and built in start()
     std::uint32_t home = 0;  ///< home shard index (set in start())
+    std::atomic<std::uint64_t> mailbox_full{0};  ///< pushes that found it full
 
     /// The dispatch claim — see the state machine in the file comment.
     std::atomic<std::uint32_t> state{kIdle};
@@ -453,6 +423,15 @@ class Runtime final : public sim::TransportIface {
     std::unique_ptr<sim::Rng> fault_rng;  ///< per-sender drop/dup coins
     sim::Time crash_at = -1;              ///< scheduled crash tick (-1 = none)
     sim::Time recover_at = -1;            ///< scheduled rejoin tick (-1 = none)
+    std::size_t mailbox_high_water = 0;   ///< max occupancy seen at a drain
+
+    /// pop_n, booking the occupancy first. Only a drain lowers it, so a
+    /// read just before each drain sees every peak, with no extra
+    /// read-modify-write on the producers' push path.
+    std::size_t drain(sim::Message* out, std::size_t max) {
+      mailbox_high_water = std::max(mailbox_high_water, mailbox->occupancy());
+      return mailbox->pop_n(out, max);
+    }
   };
 
   /// (deadline, actor) entry in a shard's timer registry heap.

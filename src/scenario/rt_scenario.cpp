@@ -52,9 +52,6 @@ RtScenario::RtScenario(Config cfg)
   ekbd::rt::Options opt;
   opt.seed = cfg_.seed;
   opt.tick_ns = cfg_.rt_tick_ns;
-  opt.mailbox_capacity = cfg_.rt_mailbox_capacity;
-  opt.mailbox = cfg_.rt_mutex_mailbox ? ekbd::rt::MailboxKind::kMutex
-                                      : ekbd::rt::MailboxKind::kLockFree;
   opt.shards = cfg_.rt_shards;
   opt.segmented_recorder = cfg_.rt_segmented_recorder;
   if (cfg_.net_mode != NetMode::kIdeal) {

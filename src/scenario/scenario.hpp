@@ -102,8 +102,6 @@ struct Config {
 
   // rt-engine knobs (used only when engine == kRt)
   std::uint64_t rt_tick_ns = 100'000;     ///< wall nanoseconds per tick
-  std::size_t rt_mailbox_capacity = 1024; ///< per-actor mailbox slots
-  bool rt_mutex_mailbox = false;          ///< baseline mailbox instead of lock-free
   /// Worker shards for the rt executor: 0 = one per hardware core,
   /// clamped to [1, n]; `n` reproduces thread-per-actor. Shard count
   /// never changes observable behavior (per-actor rng streams, monitor

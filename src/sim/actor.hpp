@@ -6,7 +6,7 @@
 /// the world only through `send` / `set_timer`. Those helpers forward to
 /// whichever engine registered the actor (a `sim::TransportIface`): the
 /// deterministic discrete-event simulator, or the real-threads runtime
-/// (src/rt/) where each actor runs on its own OS thread. Every engine
+/// (src/rt/) where actors run on a pool of OS worker threads. Every engine
 /// guarantees:
 ///
 ///  * handlers of one actor run atomically with respect to each other

@@ -9,8 +9,8 @@
 ///
 ///  * `sim::Simulator` — the deterministic discrete-event engine: virtual
 ///    time, a single global event queue, replayable to the bit;
-///  * `rt::Runtime` — the real-concurrency engine (src/rt/): one OS thread
-///    per actor, lock-free mailboxes, wall-clock timers.
+///  * `rt::Runtime` — the real-concurrency engine (src/rt/): actors on a
+///    shard-per-core executor, lock-free mailboxes, wall-clock timers.
 ///
 /// The contract every implementation must honor (it is what the paper's
 /// model gives each process):

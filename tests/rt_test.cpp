@@ -1,7 +1,8 @@
 // Tests for the real-threads runtime (src/rt/): mailbox FIFO and MPSC
 // stress (the TSan targets), cross-engine rng parity, generic actors on
 // real threads, crash semantics, the full RtScenario acceptance run, the
-// rt fuzz sweep (monitor agreement on every run) and replay determinism.
+// rt fuzz sweep (monitor agreement on every run), the P6 mailbox bound and
+// replay determinism.
 //
 // All tests carry the ctest label `rt`; CI runs them under TSan and
 // ASan+UBSan. Horizons are sized for wall-clock runs: ticks here are
@@ -13,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -50,10 +53,8 @@ Message make_msg(ProcessId from, std::uint64_t seq) {
 
 // ---------------------------------------------------------------- mailbox
 
-class MailboxKindTest : public ::testing::TestWithParam<ekbd::rt::MailboxKind> {};
-
-TEST_P(MailboxKindTest, FifoSingleThread) {
-  auto mb = ekbd::rt::make_mailbox(GetParam(), 8);
+TEST(MailboxTest, FifoSingleThread) {
+  auto mb = std::make_unique<ekbd::rt::MpscRingMailbox>(8);
   EXPECT_FALSE(mb->maybe_nonempty());
   for (std::uint64_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(mb->try_push(make_msg(1, i)));
@@ -86,8 +87,8 @@ TEST(MailboxTest, CapacityRoundsUpToPowerOfTwo) {
 // Batched drain edge cases: empty pop_n, partial batches, full-ring
 // backpressure with slot recycling, and cursor wraparound across many
 // laps of a small ring.
-TEST_P(MailboxKindTest, PopNDrainsFifoAcrossWraparoundAndBackpressure) {
-  auto mb = ekbd::rt::make_mailbox(GetParam(), 8);
+TEST(MailboxTest, PopNDrainsFifoAcrossWraparoundAndBackpressure) {
+  auto mb = std::make_unique<ekbd::rt::MpscRingMailbox>(8);
   Message out[8];
   EXPECT_EQ(mb->pop_n(out, 8), 0u);  // empty drain is a no-op
 
@@ -131,10 +132,10 @@ TEST_P(MailboxKindTest, PopNDrainsFifoAcrossWraparoundAndBackpressure) {
 // The TSan target for the batched drain: producers race try_push against a
 // consumer draining in bursts; per-producer FIFO must survive the batch
 // cursor's once-per-batch publication.
-TEST_P(MailboxKindTest, MpscStressBatchedDrainPerProducerFifo) {
+TEST(MailboxTest, MpscStressBatchedDrainPerProducerFifo) {
   constexpr int kProducers = 4;
   constexpr std::uint64_t kPerProducer = 10'000;
-  auto mb = ekbd::rt::make_mailbox(GetParam(), 64);
+  auto mb = std::make_unique<ekbd::rt::MpscRingMailbox>(64);
 
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -169,10 +170,10 @@ TEST_P(MailboxKindTest, MpscStressBatchedDrainPerProducerFifo) {
 }
 
 // The TSan stress target: many producers, one consumer, per-producer FIFO.
-TEST_P(MailboxKindTest, MpscStressPerProducerFifo) {
+TEST(MailboxTest, MpscStressPerProducerFifo) {
   constexpr int kProducers = 8;
   constexpr std::uint64_t kPerProducer = 20'000;
-  auto mb = ekbd::rt::make_mailbox(GetParam(), 256);
+  auto mb = std::make_unique<ekbd::rt::MpscRingMailbox>(256);
 
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -202,13 +203,6 @@ TEST_P(MailboxKindTest, MpscStressPerProducerFifo) {
   for (auto& t : producers) t.join();
   EXPECT_FALSE(mb->try_pop(out));
 }
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, MailboxKindTest,
-                         ::testing::Values(ekbd::rt::MailboxKind::kLockFree,
-                                           ekbd::rt::MailboxKind::kMutex),
-                         [](const auto& info) {
-                           return std::string(ekbd::rt::to_string(info.param));
-                         });
 
 // -------------------------------------------------------------- rng parity
 
@@ -240,6 +234,18 @@ TEST(RtRuntimeTest, ActorRngMatchesSimulator) {
 
 // ------------------------------------------------------ generic rt actors
 
+// Polls `done` until it holds or a generous safety deadline passes, and
+// returns whether it held: wall-clock tests wait for their work, not for
+// a horizon sized for an idle host.
+bool wait_for(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
 // A pair of plain sim::Actors ping-ponging on real threads: proves the
 // engine runs arbitrary actors (not just diners), that per-channel FIFO
 // holds at the actor level, and that timers fire.
@@ -257,8 +263,9 @@ class PingPonger final : public ekbd::sim::Actor {
     // Per-channel FIFO: the round counters must arrive in order.
     EXPECT_EQ(ping->value, expected_round_);
     ++expected_round_;
-    ++received_;
-    if (received_ < rounds_) {
+    // Atomic: a test thread may poll received() while the run is live.
+    const int received = received_.fetch_add(1) + 1;
+    if (received < rounds_) {
       // Reply after a short timer, exercising the timer path.
       reply_armed_ = set_timer(1);
     }
@@ -268,7 +275,7 @@ class PingPonger final : public ekbd::sim::Actor {
     if (id == reply_armed_) send_ping();
   }
 
-  [[nodiscard]] int received() const { return received_; }
+  [[nodiscard]] int received() const { return received_.load(); }
 
  private:
   void send_ping() {
@@ -280,7 +287,7 @@ class PingPonger final : public ekbd::sim::Actor {
   ProcessId peer_;
   int rounds_;
   std::int64_t sent_ = 0;
-  int received_ = 0;
+  std::atomic<int> received_{0};
   std::int64_t expected_round_ = 0;
   ekbd::sim::TimerId reply_armed_ = 0;
 };
@@ -293,7 +300,11 @@ TEST(RtRuntimeTest, GenericActorsPingPongWithTimers) {
   ekbd::rt::Runtime rt(opt, rec);
   auto* a = rt.make_actor<PingPonger>(1, 50);
   auto* b = rt.make_actor<PingPonger>(0, 50);
-  rt.run_for(2'000);
+  // Run until the exchanges are in rather than for a fixed wall-clock
+  // horizon, which a loaded host may not fit them into.
+  rt.start();
+  wait_for([a, b] { return a->received() + b->received() >= 50; });
+  rt.stop_and_join();
   EXPECT_GE(a->received() + b->received(), 50);
   // Every recorded send was either delivered or is still in flight; the
   // books never go negative (agreement with the recorder's network).
@@ -417,19 +428,6 @@ TEST(RtScenarioTest, PerfectDetectorRunsClean) {
   EXPECT_GT(s.trace().count(ekbd::dining::TraceEventKind::kStartEating), 0u);
 }
 
-// The mutex-baseline mailbox must behave identically (it exists to bisect
-// suspected ring bugs).
-TEST(RtScenarioTest, MutexMailboxBaseline) {
-  ekbd::scenario::Config cfg = rt_config(99);
-  cfg.rt_mutex_mailbox = true;
-  cfg.n = 6;
-  cfg.run_for = 2'000;
-  ekbd::scenario::RtScenario s(cfg);
-  s.run();
-  EXPECT_EQ(s.monitor_agreement(), "");
-  EXPECT_GT(s.trace().count(ekbd::dining::TraceEventKind::kStartEating), 0u);
-}
-
 // rt fuzz sweep: seeds × {ideal, lossy} × {waitfree, chandy-misra}; the
 // online monitors must agree with the post-hoc checkers on every run.
 TEST(RtScenarioTest, FuzzSweepMonitorAgreementOnEveryRun) {
@@ -457,6 +455,60 @@ TEST(RtScenarioTest, FuzzSweepMonitorAgreementOnEveryRun) {
         SCOPED_TRACE("config " + std::to_string(i));
         EXPECT_EQ(s.monitor_agreement(), "");
         EXPECT_GT(s.trace().count(ekbd::dining::TraceEventKind::kStartEating), 0u);
+      },
+      sweep);
+}
+
+// ------------------------------------------------------- P6 mailbox sizing
+
+// The runtime sizes each diner's ring from the paper's channel bound
+// (Runtime::mailbox_bound): on the ideal network a diner of degree deg
+// never has more than 4·deg + kMailboxSlack messages waiting, for every
+// algorithm, with and without detector traffic, and no push ever finds
+// its ring full. The bound assumes a host that keeps pace with the
+// detector: 1 ms ticks give a 20 ms heartbeat period, which a sanitizer
+// build still drains in time (at 100 µs, sparse n=256 sends ~500k
+// heartbeats per second, more than a sanitizer build consumes, and the
+// rings fill and fall back on push_blocking as designed).
+TEST(RtMailboxTest, HighWaterStaysWithinP6BoundOnIdealNetwork) {
+  using ekbd::scenario::Algorithm;
+  using ekbd::scenario::DetectorKind;
+  std::vector<ekbd::scenario::Config> configs;
+  for (const auto& [topology, n] : {std::pair<const char*, std::size_t>{"ring", 6},
+                                    std::pair<const char*, std::size_t>{"sparse", 256}}) {
+    for (const Algorithm algorithm :
+         {Algorithm::kWaitFree, Algorithm::kChoySingh, Algorithm::kChoySinghSingleAck,
+          Algorithm::kHierarchical, Algorithm::kChandyMisra}) {
+      for (const DetectorKind detector : {DetectorKind::kPerfect, DetectorKind::kHeartbeat}) {
+        ekbd::scenario::Config cfg = rt_config(5150);
+        cfg.topology = topology;
+        cfg.n = n;
+        cfg.algorithm = algorithm;
+        cfg.detector = detector;
+        cfg.rt_tick_ns = 1'000'000;
+        cfg.run_for = 400;  // 0.4 s wall
+        configs.push_back(cfg);
+      }
+    }
+  }
+  ekbd::scenario::SweepOptions sweep;
+  sweep.threads = 1;
+  ekbd::scenario::sweep<ekbd::scenario::RtScenario>(
+      configs,
+      [&configs](std::size_t i, ekbd::scenario::RtScenario& s) {
+        const ekbd::scenario::Config& cfg = configs[i];
+        SCOPED_TRACE(cfg.topology + "/" + ekbd::scenario::to_string(cfg.algorithm) + "/" +
+                     ekbd::scenario::to_string(cfg.detector));
+        EXPECT_GT(s.trace().count(ekbd::dining::TraceEventKind::kStartEating), 0u);
+        for (std::size_t v = 0; v < s.graph().size(); ++v) {
+          const auto p = static_cast<ProcessId>(v);
+          const std::size_t bound =
+              ekbd::rt::Runtime::mailbox_bound(s.graph().neighbors(p).size());
+          const ekbd::rt::MailboxStats mb = s.runtime().mailbox_stats(p);
+          EXPECT_GE(mb.capacity, bound) << "p=" << p;
+          EXPECT_LE(mb.high_water, bound) << "p=" << p;
+          EXPECT_EQ(mb.full_pushes, 0u) << "p=" << p;
+        }
       },
       sweep);
 }
@@ -618,38 +670,60 @@ TEST(RtShardTest, MonitorAgreementAndCrashPlanInvariantAcrossShardCounts) {
 
 // ------------------------------------------------------- helping/stealing
 
-// An actor that wedges its home shard's worker inside a dispatch.
+// An actor that wedges its home shard's worker inside a dispatch until the
+// test's `done` hook holds, or until wait_for's safety deadline passes. It
+// records which of the two released it.
 class Staller final : public ekbd::sim::Actor {
  public:
+  explicit Staller(std::function<bool()> done) : done_(std::move(done)) {}
+
   void on_start() override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    released_by_completion_.store(wait_for(done_));
+    released_.store(true);
   }
   void on_message(const Message&) override {}
+
+  [[nodiscard]] bool released() const { return released_.load(); }
+  [[nodiscard]] bool released_by_completion() const { return released_by_completion_.load(); }
+
+ private:
+  std::function<bool()> done_;
+  std::atomic<bool> released_{false};
+  std::atomic<bool> released_by_completion_{false};
 };
 
 // Ben-David–Blelloch-style helping, observably: with 2 shards, actor 0
-// (home shard 0) wedges its worker for 50 ms while actors 1 (shard 1) and
-// 2 (shard 0) ping-pong. Every dispatch of actor 2 during the stall must
-// be claimed by shard 1 — work stealing — and actor 2's reply timers live
-// in shard 0's registry, serviceable only through timer helping. The
-// ping-pong completing during the stall proves dispatches of a stalled
-// shard complete via neighbors.
+// (home shard 0) wedges its worker until actors 1 (shard 1) and 2
+// (shard 0) have ping-ponged 30 times. Every dispatch of actor 2 during
+// the stall must be claimed by shard 1 — work stealing — and actor 2's
+// reply timers live in shard 0's registry, serviceable only through timer
+// helping. The stall ending by completion, not by its safety deadline,
+// proves dispatches of a stalled shard complete via neighbors.
 TEST(RtShardTest, StalledShardDispatchesCompleteViaNeighbors) {
   ekbd::rt::Recorder rec;
   ekbd::rt::Options opt;
   opt.seed = 31337;
-  opt.tick_ns = 50'000;  // 50 µs ticks; 50 ms stall = 1000 ticks
+  opt.tick_ns = 50'000;  // 50 µs ticks: the reply timers fire fast
   opt.shards = 2;
   ekbd::rt::Runtime rt(opt, rec);
-  rt.make_actor<Staller>();                 // id 0 → home shard 0
-  auto* a = rt.make_actor<PingPonger>(2, 30);  // id 1 → home shard 1
-  auto* b = rt.make_actor<PingPonger>(1, 30);  // id 2 → home shard 0
-  rt.run_for(2'500);  // 125 ms wall: the stall covers the first 40%
+  PingPonger* a = nullptr;
+  PingPonger* b = nullptr;
+  // id 0 → home shard 0; holds it until the ping-pong has counted its 30
+  // exchanges (a and b are set before start(), which publishes them).
+  auto* staller =
+      rt.make_actor<Staller>([&a, &b] { return a->received() + b->received() >= 30; });
+  a = rt.make_actor<PingPonger>(2, 30);  // id 1 → home shard 1
+  b = rt.make_actor<PingPonger>(1, 30);  // id 2 → home shard 0
+  rt.start();
+  while (!staller->released()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  rt.stop_and_join();
 
   ASSERT_EQ(rt.shard_count(), 2u);
   ASSERT_EQ(rt.shard_of(0), 0u);  // staller and actor 2 share shard 0
   ASSERT_EQ(rt.shard_of(2), 0u);
 
+  EXPECT_TRUE(staller->released_by_completion())
+      << "the safety deadline ended the stall: the ping-pong never finished";
   EXPECT_GE(a->received() + b->received(), 30)
       << "ping-pong starved while shard 0 was wedged";
   const ekbd::rt::ExecutorStats st = rt.stats();
