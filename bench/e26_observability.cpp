@@ -121,7 +121,7 @@ Result run_one(const std::string& mode, const std::string& layout, scenario::Con
     r.merged = ss.merged_events + ss.merged_trace_events;
     r.dropped_windows = ss.dropped_windows;
     r.max_pending = ss.max_pending;
-    const obs::Histogram lat = s.driver().latency_histogram();
+    const obs::Histogram lat = s.harness().latency_histogram();
     r.p50 = lat.quantile(0.50);
     r.p99 = lat.quantile(0.99);
     r.p999 = lat.quantile(0.999);

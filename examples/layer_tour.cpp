@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
                                                       std::move(ncolors), detector);
     harness.manage(diner);
   }
-  harness.install_heartbeats(detector,
-                             {.period = 25, .initial_timeout = 40, .timeout_increment = 25});
+  harness.install_modules<fd::HeartbeatModule>(
+      detector, {.period = 25, .initial_timeout = 40, .timeout_increment = 25});
 
   // 5. Environment: one crash mid-run.
   harness.schedule_crash(4, 25'000);  // the torus has no "center", pick one

@@ -10,6 +10,13 @@
 //   ./run_scenario --algorithm chandy-misra --detector none --gantt
 //   ./run_scenario --topology star --n 9 --detector heartbeat --gantt
 //   ./run_scenario --algorithm hierarchical --think 1:8 --eat 40:100 --gantt
+//
+// Workload harness (any load flag runs scenario::LoadScenario: open-loop
+// arrivals instead of the closed think/eat loop):
+//   ./run_scenario --rate 4 --churn 30 --recover 2@15000:30000
+//   ./run_scenario --arrivals bursty --rate 3 --burst 2000:8000
+//   ./run_scenario --sweep 1,2,4,8,16,32 --n 12 --topology sparse
+//   ./run_scenario --engine rt --rate 3 --run-for 4000 --n 6
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -58,8 +65,6 @@ namespace {
       "                       (default 100000)\n"
       "  --shards C           rt engine: worker shards (default 0 = one per\n"
       "                       hardware core; n = thread-per-actor)\n"
-      "  --no-stream          rt engine: single-mutex direct recorder instead of\n"
-      "                       the segmented streaming pipeline\n"
       "  --log-cap N          rt engine: cap the recorded EventLog at N events\n"
       "                       (default 0 = unbounded; drops are counted)\n"
       "  --telemetry-every T  rt engine: live JSONL snapshot every T ticks\n"
@@ -72,14 +77,27 @@ namespace {
       "  --eat LO:HI          eat-duration range (default 20:60)\n"
       "  --fp COUNT:UNTIL     scripted false positives (default 0:0)\n"
       "  --acks M             ack budget per session (default 1; k = M+1)\n"
-      "  --rate R             open-loop load: R arrivals per 1000 ticks per actor\n"
-      "                       (workload harness; sim/rt engines, waitfree only)\n"
+      "\n"
+      "Workload harness (sim/rt engines, waitfree only; any of these flags\n"
+      "runs open-loop arrivals instead of the closed think/eat loop):\n"
+      "  --rate R             R arrivals per 1000 ticks per actor (default 5)\n"
       "  --arrivals K         poisson|uniform|bursty arrival model (default\n"
-      "                       poisson; only meaningful with --rate)\n"
+      "                       poisson)\n"
+      "  --global             one global stream dealt across actors instead\n"
+      "                       of an independent stream per actor\n"
+      "  --gap LO:HI          uniform model: inter-arrival gap bounds\n"
+      "  --burst B:I          bursty model: burst/idle phase lengths in ticks\n"
+      "  --burst-factor F     bursty model: burst rate multiplier (default 8)\n"
       "  --churn N            N conflict-graph edge mutations spread over the\n"
-      "                       run, recolored incrementally (waitfree only)\n"
+      "                       run, recolored incrementally\n"
+      "  --churn-window A:B   confine churn to [A, B] (default middle 80%%)\n"
       "  --recover P@T1:T2    crash process P at T1 and bring it back at T2\n"
       "                       (repeatable; --crash alone = crash forever)\n"
+      "  --sweep R1,R2,...    run once per rate, print the latency curve (the\n"
+      "                       knee where p99 leaves p50 is the capacity); exit\n"
+      "                       1 on any monitor disagreement\n"
+      "\n"
+      "Output:\n"
       "  --gantt              print the schedule as an ASCII Gantt chart\n"
       "  --gantt-width W      chart width in columns (default 100)\n"
       "  --dump FILE          write the execution trace as JSON lines\n"
@@ -108,6 +126,21 @@ bool parse_triple(const char* s, long long& a, long long& b, long long& c) {
   if (end == nullptr || *end != ':') return false;
   c = std::strtoll(end + 1, &end, 10);
   return end != nullptr && *end == '\0';
+}
+
+// "R1,R2,..." — the offered rates for --sweep (each > 0).
+std::vector<double> parse_rates(const char* s) {
+  std::vector<double> rates;
+  const char* p = s;
+  while (*p != '\0') {
+    char* end = nullptr;
+    const double r = std::strtod(p, &end);
+    if (end == p || r <= 0.0) return {};
+    rates.push_back(r);
+    p = (*end == ',') ? end + 1 : end;
+    if (end == p - 1 && *p == '\0') return {};  // trailing comma
+  }
+  return rates;
 }
 
 Algorithm parse_algorithm(const std::string& s) {
@@ -256,6 +289,39 @@ void print_load_reports(const scenario::LoadScenario& s) {
   lt.print();
 }
 
+// Latency/throughput curve: the same workload once per offered rate.
+int run_sweep(const scenario::LoadConfig& lc, const std::vector<double>& rates) {
+  util::Table t({"rate/kt", "offered", "completed", "dropped", "backlog", "p50", "p99",
+                 "p999", "overloaded"});
+  bool all_agree = true;
+  for (const double rate : rates) {
+    scenario::LoadConfig point = lc;
+    point.arrivals.rate_per_kilotick = rate;
+    scenario::LoadScenario s(point);
+    s.run();
+    const obs::Histogram lat = s.latency();
+    t.row()
+        .cell(rate, 2)
+        .cell(s.book().offered())
+        .cell(s.book().completed())
+        .cell(s.book().dropped())
+        .cell(s.overload().backlog_high_water())
+        .cell(static_cast<std::uint64_t>(lat.quantile(0.50)))
+        .cell(static_cast<std::uint64_t>(lat.quantile(0.99)))
+        .cell(static_cast<std::uint64_t>(lat.quantile(0.999)))
+        .cell(s.overload().overloaded() ? "yes" : "no");
+    const std::string agreement = s.monitor_agreement();
+    if (!agreement.empty()) {
+      all_agree = false;
+      std::printf("MONITOR DISAGREEMENT at rate %.2f:\n%s\n", rate, agreement.c_str());
+    }
+  }
+  t.print();
+  std::printf(all_agree ? "online monitors agree with post-hoc checkers at every rate\n"
+                        : "monitor disagreement — see above\n");
+  return all_agree ? 0 : 1;
+}
+
 int dump_trace(const dining::Trace& trace, const std::string& dump_path) {
   if (dump_path.empty()) return 0;
   if (ekbd::dining::write_jsonl_file(trace, dump_path)) {
@@ -278,11 +344,9 @@ int main(int argc, char** argv) {
   // Workload-harness flags (any of them routes the run through
   // scenario::LoadScenario — open-loop arrivals instead of the closed
   // think/eat loop).
-  double load_rate = 0.0;
-  bool load_rate_set = false;
-  std::string arrivals_kind;
-  std::size_t churn = 0;
-  std::vector<scenario::RecoverySpec> recoveries;
+  scenario::LoadConfig lc;
+  bool load_mode = false;
+  std::vector<double> sweep;
 
   // Engine-specific flags remembered by name so a mismatched --engine is
   // an explicit error after the loop (flags may precede --engine).
@@ -331,25 +395,61 @@ int main(int argc, char** argv) {
       cfg.fp_until = until;
       fp_set = true;
     } else if (arg == "--rate") {
-      load_rate = std::strtod(next(), nullptr);
-      if (!(load_rate > 0.0)) {
+      lc.arrivals.rate_per_kilotick = std::strtod(next(), nullptr);
+      if (!(lc.arrivals.rate_per_kilotick > 0.0)) {
         std::fprintf(stderr, "--rate must be > 0\n");
         return 2;
       }
-      load_rate_set = true;
+      load_mode = true;
     } else if (arg == "--arrivals") {
-      arrivals_kind = next();
-      if (arrivals_kind != "poisson" && arrivals_kind != "uniform" &&
-          arrivals_kind != "bursty") {
-        std::fprintf(stderr, "unknown arrival model: %s\n", arrivals_kind.c_str());
+      const std::string k = next();
+      if (k == "poisson") {
+        lc.arrivals.kind = load::ArrivalKind::kPoisson;
+      } else if (k == "uniform") {
+        lc.arrivals.kind = load::ArrivalKind::kUniform;
+      } else if (k == "bursty") {
+        lc.arrivals.kind = load::ArrivalKind::kBursty;
+      } else {
+        std::fprintf(stderr, "unknown arrival model: %s\n", k.c_str());
         return 2;
       }
+      load_mode = true;
+    } else if (arg == "--global") {
+      lc.arrivals.per_actor = false;
+      load_mode = true;
+    } else if (arg == "--gap") {
+      long long lo = 0, hi = 0;
+      if (!parse_pair(next(), lo, hi, ':')) usage(argv[0]);
+      lc.arrivals.gap_lo = lo;
+      lc.arrivals.gap_hi = hi;
+      load_mode = true;
+    } else if (arg == "--burst") {
+      long long b = 0, idle = 0;
+      if (!parse_pair(next(), b, idle, ':')) usage(argv[0]);
+      lc.arrivals.burst_len = b;
+      lc.arrivals.idle_len = idle;
+      load_mode = true;
+    } else if (arg == "--burst-factor") {
+      lc.arrivals.burst_factor = std::strtod(next(), nullptr);
+      load_mode = true;
     } else if (arg == "--churn") {
-      churn = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      lc.churn.mutations = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      load_mode = true;
+    } else if (arg == "--churn-window") {
+      long long a = 0, b = 0;
+      if (!parse_pair(next(), a, b, ':')) usage(argv[0]);
+      lc.churn.start = a;
+      lc.churn.end = b;
+      load_mode = true;
     } else if (arg == "--recover") {
       long long p = 0, t1 = 0, t2 = 0;
       if (!parse_triple(next(), p, t1, t2) || t2 <= t1) usage(argv[0]);
-      recoveries.push_back({static_cast<sim::ProcessId>(p), t1, t2});
+      lc.recoveries.push_back({static_cast<sim::ProcessId>(p), t1, t2});
+      load_mode = true;
+    } else if (arg == "--sweep") {
+      sweep = parse_rates(next());
+      if (sweep.empty()) usage(argv[0]);
+      load_mode = true;
     } else if (arg == "--acks") {
       cfg.acks_per_session = static_cast<int>(std::strtol(next(), nullptr, 10));
     } else if (arg == "--engine") {
@@ -379,9 +479,6 @@ int main(int argc, char** argv) {
       tick_ns_set = true;
     } else if (arg == "--shards") {
       cfg.rt_shards = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-      rt_only_flags.push_back(arg);
-    } else if (arg == "--no-stream") {
-      cfg.rt_segmented_recorder = false;
       rt_only_flags.push_back(arg);
     } else if (arg == "--log-cap") {
       cfg.rt_event_log_cap = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
@@ -427,19 +524,11 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  const bool load_mode =
-      load_rate_set || !arrivals_kind.empty() || churn > 0 || !recoveries.empty();
-  if (load_mode) {
-    if (!arrivals_kind.empty() && !load_rate_set) {
-      std::fprintf(stderr, "--arrivals needs --rate\n");
-      usage(argv[0]);
-    }
-    if (cfg.detector == DetectorKind::kScripted) {
-      // The scripted oracle neither follows recoveries nor sees churned
-      // edges; the perfect detector is the harness default.
-      std::printf("note: workload harness uses the perfect detector instead of scripted\n");
-      cfg.detector = DetectorKind::kPerfect;
-    }
+  if (load_mode && cfg.detector == DetectorKind::kScripted) {
+    // The scripted oracle neither follows recoveries nor sees churned
+    // edges; the perfect detector is the harness default.
+    std::printf("note: workload harness uses the perfect detector instead of scripted\n");
+    cfg.detector = DetectorKind::kPerfect;
   }
 
   if (cfg.detector == DetectorKind::kHeartbeat || cfg.detector == DetectorKind::kPingPong) {
@@ -479,22 +568,19 @@ int main(int argc, char** argv) {
   std::string replay;       // proc engine: replayed-verdict agreement
   const scenario::LoadScenario* load = nullptr;
   if (load_mode) {
-    scenario::LoadConfig lc;
     // --crash under the harness = a crash that never recovers; fold it
     // into the recovery list so the churn planner sees the window.
-    for (const auto& [p, t] : cfg.crashes) recoveries.push_back({p, t, -1});
+    for (const auto& [p, t] : cfg.crashes) lc.recoveries.push_back({p, t, -1});
     cfg.crashes.clear();
     lc.base = cfg;
-    if (load_rate_set) lc.arrivals.rate_per_kilotick = load_rate;
-    if (arrivals_kind == "uniform") lc.arrivals.kind = load::ArrivalKind::kUniform;
-    if (arrivals_kind == "bursty") lc.arrivals.kind = load::ArrivalKind::kBursty;
-    lc.churn.mutations = churn;
-    lc.recoveries = recoveries;
 
-    std::printf("workload: %s arrivals at %.2f/kilotick per actor, %zu churn ops, "
-                "%zu crash cycles\n",
-                load::to_string(lc.arrivals.kind).c_str(), lc.arrivals.rate_per_kilotick,
-                lc.churn.mutations, lc.recoveries.size());
+    char rate[32] = "swept";
+    if (sweep.empty()) std::snprintf(rate, sizeof rate, "%.2f", lc.arrivals.rate_per_kilotick);
+    std::printf("workload: %s arrivals (%s) at %s/kilotick, %zu churn ops, %zu crash cycles\n",
+                load::to_string(lc.arrivals.kind).c_str(),
+                lc.arrivals.per_actor ? "per actor" : "global", rate, lc.churn.mutations,
+                lc.recoveries.size());
+    if (!sweep.empty()) return build([&] { return run_sweep(lc, sweep); });
 
     auto s = build([&] { return std::make_unique<scenario::LoadScenario>(lc); });
     s->run();

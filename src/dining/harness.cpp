@@ -7,8 +7,38 @@ namespace ekbd::dining {
 using sim::ProcessId;
 using sim::Time;
 
+namespace {
+/// Salt separating the environment's draw streams from the actor and
+/// fault streams.
+constexpr std::uint64_t kEnvSalt = 0x4a52ULL;
+}  // namespace
+
+Harness::Harness(sim::TransportIface& engine, sim::Simulator* sim, TraceSink* sink,
+                 const graph::ConflictGraph& graph, HarnessOptions opt)
+    : engine_(engine),
+      sim_(sim),
+      sink_(sink != nullptr ? *sink : trace_),
+      graph_(graph),
+      opt_(opt) {
+  // Pre-sized for the full vertex set: manage() runs once per vertex, and
+  // 10⁵-diner graphs would otherwise pay repeated geometric regrowth.
+  diners_.reserve(graph_.size());
+  by_id_.resize(graph_.size(), nullptr);
+}
+
 Harness::Harness(sim::Simulator& sim, const graph::ConflictGraph& graph, HarnessOptions opt)
-    : sim_(sim), graph_(graph), opt_(opt), rng_(sim.rng().fork(0x4a52)) {}
+    : Harness(sim, &sim, nullptr, graph, opt) {
+  draws_.push_back(std::make_unique<sim::Rng>(sim.rng().fork(kEnvSalt)));
+}
+
+Harness::Harness(sim::TransportIface& engine, TraceSink& sink, std::uint64_t seed,
+                 const graph::ConflictGraph& graph, HarnessOptions opt)
+    : Harness(engine, nullptr, &sink, graph, opt) {
+  draws_.reserve(graph_.size());
+  for (std::size_t p = 0; p < graph_.size(); ++p) {
+    draws_.push_back(std::make_unique<sim::Rng>(sim::Rng(seed ^ kEnvSalt).fork(p + 1)));
+  }
+}
 
 void Harness::manage(Diner* d) {
   assert(d != nullptr);
@@ -21,14 +51,11 @@ void Harness::manage(Diner* d) {
     // kEdgeAdded / kEdgeRemoved, recorded by the initiating endpoint with
     // the peer attached — the checkers' DynamicAdjacency overlay replays
     // exactly these records.
-    trace_.record(sim_.now(), diner.id(), kind, peer);
+    sink_.record(engine_.now(), diner.id(), kind, peer);
   });
   diners_.push_back(d);
-  if (by_id_.size() <= static_cast<std::size_t>(d->id())) {
-    by_id_.resize(static_cast<std::size_t>(d->id()) + 1, nullptr);
-  }
   by_id_[static_cast<std::size_t>(d->id())] = d;
-  schedule_next_hunger(d, rng_.uniform_int(0, opt_.first_hunger_hi));
+  schedule_next_hunger(*d, draws(d->id()).uniform_int(0, opt_.first_hunger_hi));
 }
 
 void Harness::set_think_forever(ProcessId p, bool v) {
@@ -39,119 +66,120 @@ void Harness::set_think_forever(ProcessId p, bool v) {
   }
 }
 
-void Harness::schedule_next_hunger(Diner* d, Time delay) {
-  const Time at = sim_.now() + delay;
-  if (hunger_deadline_ >= 0 && at >= hunger_deadline_) return;
-  sim_.schedule(at, [this, d] {
-    if (sim_.crashed(d->id())) return;
-    if (!d->thinking()) return;
-    if (think_forever_.count(d->id()) != 0) return;
-    if (hunger_deadline_ >= 0 && sim_.now() >= hunger_deadline_) return;
-    d->become_hungry();
+void Harness::schedule_next_hunger(Diner& d, Time delay) {
+  if (hunger_deadline_ >= 0 && engine_.now() + delay >= hunger_deadline_) return;
+  engine_.call_after(d.id(), delay, [this, &d] {
+    if (!d.thinking()) return;
+    if (!think_forever_.empty() && think_forever_.count(d.id()) != 0) return;
+    if (hunger_deadline_ >= 0 && engine_.now() >= hunger_deadline_) return;
+    d.become_hungry();
   });
 }
 
-void Harness::attach_metrics(obs::MetricsRegistry& reg) {
-  hungry_latency_ = &reg.histogram("dining.hungry_latency", "", 0.0, 5000.0, 50);
-  meals_ = &reg.counter("dining.meals");
-  neighbor_hungry_eats_ = &reg.counter("dining.neighbor_hungry_eats");
-  hungry_since_.assign(graph_.size(), -1);
-}
-
 void Harness::on_diner_event(Diner& d, TraceEventKind kind) {
-  trace_.record(sim_.now(), d.id(), kind);
-  if (meals_ != nullptr) {
-    // Telemetry attached: keep the hungry-since clocks and feed the
-    // latency/overtake instruments. All of this is skipped (one branch)
-    // when detached.
-    const auto idx = static_cast<std::size_t>(d.id());
-    switch (kind) {
-      case TraceEventKind::kBecameHungry:
-        hungry_since_[idx] = sim_.now();
-        break;
-      case TraceEventKind::kStartEating:
-        meals_->inc();
-        if (hungry_since_[idx] >= 0) {
-          hungry_latency_->add(static_cast<double>(sim_.now() - hungry_since_[idx]));
-          hungry_since_[idx] = -1;
-        }
-        for (const ProcessId q : graph_.neighbors(d.id())) {
-          if (hungry_since_[static_cast<std::size_t>(q)] >= 0) neighbor_hungry_eats_->inc();
-        }
-        break;
-      case TraceEventKind::kCrashed:
-      case TraceEventKind::kRecovered:
-        hungry_since_[idx] = -1;
-        break;
-      default:
-        break;
-    }
-  }
+  const ProcessId p = d.id();
+  const Time now = engine_.now();
+  sink_.record(now, p, kind);
+  if (!latency_.empty()) track_latency(p, kind, now);
   switch (kind) {
     case TraceEventKind::kStartEating: {
-      if (eat_hook_) eat_hook_(d.id());
+      if (eat_hook_) eat_hook_(p);
       // Correct processes eat for a finite (but not necessarily bounded)
-      // period (§2); the harness ends the session.
-      const Time duration = rng_.uniform_int(opt_.eat_lo, opt_.eat_hi);
-      Diner* dp = &d;
-      sim_.schedule(sim_.now() + duration, [this, dp] {
-        if (sim_.crashed(dp->id())) return;
-        if (dp->eating()) dp->finish_eating();
+      // period (§2); the environment ends the session.
+      const Time duration = draws(p).uniform_int(opt_.eat_lo, opt_.eat_hi);
+      engine_.call_after(p, duration, [&d] {
+        if (d.eating()) d.finish_eating();
       });
       break;
     }
     case TraceEventKind::kStopEating:
-      if (exit_hook_) exit_hook_(d.id());
-      schedule_next_hunger(&d, rng_.uniform_int(opt_.think_lo, opt_.think_hi));
+      if (exit_hook_) exit_hook_(p);
+      schedule_next_hunger(d, draws(p).uniform_int(opt_.think_lo, opt_.think_hi));
       break;
     case TraceEventKind::kRecovered:
-      // A rejoined process re-enters the hunger cycle: its pre-crash
-      // hunger chain died with the old incarnation.
-      schedule_next_hunger(&d, rng_.uniform_int(opt_.think_lo, opt_.think_hi));
+      // The new incarnation re-enters the hunger cycle; the old one's
+      // calls died with it.
+      if (recover_hook_) recover_hook_(p);
+      schedule_next_hunger(d, draws(p).uniform_int(opt_.think_lo, opt_.think_hi));
       break;
     default:
       break;
   }
 }
 
+void Harness::attach_metrics(obs::MetricsRegistry& reg) {
+  latency_.clear();
+  latency_.push_back(std::make_unique<LatencyStripe>());
+  latency_.back()->hist = &reg.histogram("dining.hungry_latency", "", kLatencyLo, kLatencyHi,
+                                         kLatencyBins);
+  meals_ = &reg.counter("dining.meals");
+  neighbor_hungry_eats_ = &reg.counter("dining.neighbor_hungry_eats");
+  hungry_since_.assign(graph_.size(), -1);
+}
+
+void Harness::record_latency() {
+  latency_.clear();
+  for (std::size_t i = 0; i < kLatencyStripes; ++i) {
+    latency_.push_back(std::make_unique<LatencyStripe>());
+  }
+  hungry_since_.assign(graph_.size(), -1);
+}
+
+void Harness::track_latency(ProcessId p, TraceEventKind kind, Time now) {
+  const auto idx = static_cast<std::size_t>(p);
+  switch (kind) {
+    case TraceEventKind::kBecameHungry:
+      hungry_since_[idx] = now;
+      break;
+    case TraceEventKind::kStartEating:
+      if (meals_ != nullptr) meals_->inc();
+      if (hungry_since_[idx] >= 0) {
+        LatencyStripe& s = *latency_[idx & (latency_.size() - 1)];
+        std::lock_guard<std::mutex> lock(s.mu);
+        s.hist->add(static_cast<double>(now - hungry_since_[idx]));
+        hungry_since_[idx] = -1;
+      }
+      if (neighbor_hungry_eats_ != nullptr) {
+        for (const ProcessId q : graph_.neighbors(p)) {
+          if (hungry_since_[static_cast<std::size_t>(q)] >= 0) neighbor_hungry_eats_->inc();
+        }
+      }
+      break;
+    case TraceEventKind::kCrashed:
+    case TraceEventKind::kRecovered:
+      // The crash closed the open hungry session; a latency spanning the
+      // outage would belong to no incarnation.
+      hungry_since_[idx] = -1;
+      break;
+    default:
+      break;
+  }
+}
+
+obs::Histogram Harness::latency_histogram() const {
+  obs::Histogram merged(0.0, 1.0, 1);
+  for (std::size_t i = 0; i < latency_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(latency_[i]->mu);
+    if (i == 0) {
+      merged = *latency_[i]->hist;
+    } else {
+      merged.merge(*latency_[i]->hist);
+    }
+  }
+  return merged;
+}
+
 void Harness::run_until(Time t) {
-  sim_.run_until(t);
+  sim_->run_until(t);
   trace_.set_end_time(t);
 }
 
 std::vector<Time> Harness::crash_times() const {
-  std::vector<Time> out(sim_.num_processes(), -1);
+  std::vector<Time> out(sim_->num_processes(), -1);
   for (std::size_t p = 0; p < out.size(); ++p) {
-    out[p] = sim_.crash_time(static_cast<ProcessId>(p));
+    out[p] = sim_->crash_time(static_cast<ProcessId>(p));
   }
   return out;
-}
-
-void Harness::install_heartbeats(fd::HeartbeatDetector& detector,
-                                 fd::HeartbeatModule::Params params) {
-  for (Diner* d : diners_) {
-    auto module = std::make_unique<fd::HeartbeatModule>(graph_.neighbors(d->id()), params);
-    detector.attach(d->id(), module.get());
-    d->host_fd_module(std::move(module));
-  }
-}
-
-void Harness::install_pingpongs(fd::PingPongDetector& detector,
-                                fd::PingPongModule::Params params) {
-  for (Diner* d : diners_) {
-    auto module = std::make_unique<fd::PingPongModule>(graph_.neighbors(d->id()), params);
-    detector.attach(d->id(), module.get());
-    d->host_fd_module(std::move(module));
-  }
-}
-
-void Harness::install_accruals(fd::AccrualDetector& detector,
-                               fd::AccrualModule::Params params) {
-  for (Diner* d : diners_) {
-    auto module = std::make_unique<fd::AccrualModule>(graph_.neighbors(d->id()), params);
-    detector.attach(d->id(), module.get());
-    d->host_fd_module(std::move(module));
-  }
 }
 
 }  // namespace ekbd::dining

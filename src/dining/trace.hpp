@@ -34,6 +34,16 @@ class TraceObserver {
   virtual void on_trace_event(const TraceEvent& ev) = 0;
 };
 
+/// Where the environment (dining::Harness) records scheduling events:
+/// the simulator's own `Trace`, or an rt/proc engine's `rt::Recorder`,
+/// which linearizes concurrent processes into one.
+class TraceSink {
+ public:
+  virtual ~TraceSink() = default;
+  virtual void record(Time at, ProcessId p, TraceEventKind kind,
+                      ProcessId peer = ekbd::sim::kNoProcess) = 0;
+};
+
 /// One completed (or still-open) hungry→eating episode of one process,
 /// extracted from a Trace by `hungry_sessions`.
 struct HungrySession {
@@ -49,13 +59,10 @@ struct HungrySession {
   [[nodiscard]] Time response_time() const { return started_eating - became_hungry; }
 };
 
-class Trace {
+class Trace final : public TraceSink {
  public:
   void record(Time at, ProcessId p, TraceEventKind kind,
-              ProcessId peer = ekbd::sim::kNoProcess);
-
-  /// Pre-size the event vector (large runs; see rt::Recorder::reserve_trace).
-  void reserve(std::size_t events) { events_.reserve(events); }
+              ProcessId peer = ekbd::sim::kNoProcess) override;
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }

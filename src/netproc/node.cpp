@@ -48,7 +48,9 @@ void NodeEngine::install_arq(net::ReliableTransport::Params params,
                                                   params, detector);
 }
 
-void NodeEngine::call_after(sim::Time delay, std::function<void()> fn) {
+void NodeEngine::call_after(sim::ProcessId owner, sim::Time delay, std::function<void()> fn) {
+  assert(owner == cfg_.self && "only this node's process runs here");
+  (void)owner;
   const sim::TimerId id = next_timer_id_++;
   calls_.emplace(id, std::move(fn));
   timers_.push(TimerEntry{now() + (delay < 0 ? 0 : delay), id});
@@ -166,9 +168,7 @@ void NodeEngine::deliver_logical(sim::ProcessId from, sim::ProcessId to,
 
 void NodeEngine::schedule_on(sim::ProcessId owner, sim::Time delay,
                              std::function<void()> fn) {
-  assert(owner == cfg_.self);
-  (void)owner;
-  call_after(delay, std::move(fn));
+  call_after(owner, delay, std::move(fn));
 }
 
 // -- socket pump -------------------------------------------------------------

@@ -120,9 +120,11 @@ class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
                    const fd::FailureDetector* detector = nullptr);
 
   /// Run `fn` on the main thread `delay` ticks from now — the node-local
-  /// analogue of Runtime::call_after, used by the environment driver
-  /// (think/eat scheduling). Callable before run() or from handlers.
-  void call_after(sim::Time delay, std::function<void()> fn);
+  /// analogue of Runtime::call_after, used by the environment
+  /// (dining::Harness). `owner` must be this node's process. Callable
+  /// before run() or from handlers; a crash is a SIGKILL, so nothing
+  /// outlives its incarnation.
+  void call_after(sim::ProcessId owner, sim::Time delay, std::function<void()> fn) override;
 
   /// Keep child-side wiring (detectors, environment drivers built inside
   /// the NodeSetup callback) alive for the engine's lifetime.

@@ -6,9 +6,11 @@
 /// ordered by construction. The rt engine has no such luxury — handlers
 /// run concurrently on many threads — so every observable transition
 /// (send, delivery, timer, crash, scheduling event) must be funneled into
-/// one total order. The Recorder does that in one of two modes:
+/// one total order. The Recorder does that in one of two modes: the
+/// runtime always streams (below); direct mode is the netproc node
+/// engine's path and what a bare Recorder does.
 ///
-/// ## Direct mode (default)
+/// ## Direct mode
 ///
 /// Every hook takes one global mutex, clamps its timestamp monotonic, and
 /// applies the transition to the books on the spot. That buys three
@@ -40,10 +42,10 @@
 /// see segment.hpp for the hybrid-timestamp and watermark protocol) into
 /// the very same books: EventLog append, EventSink, `log_io::apply_event`
 /// network bookkeeping, trace record. The merged stream is a
-/// linearization — identical in shape to direct mode's, which the
-/// rt_stream tests assert by verdict equality across recorder modes and
-/// shard counts — and the monitors still run single-threaded (only the
-/// collector touches them), so they still need no locking.
+/// linearization — identical in shape to direct mode's; the rt_stream
+/// tests run the full verdict battery at every shard count — and the
+/// monitors still run single-threaded (only the collector touches them),
+/// so they still need no locking.
 ///
 /// The merge runs *windowed*: every `window_ns` the collector drains and
 /// merges, so monitors see events with bounded lag and bounded buffering.
@@ -78,10 +80,10 @@ namespace ekbd::rt {
 
 struct SegmentPool;  // log_io.hpp
 
-class Recorder {
+class Recorder final : public dining::TraceSink {
  public:
   Recorder();
-  ~Recorder();  // ends the stream (joins the collector) if still streaming
+  ~Recorder() override;  // ends the stream (joins the collector) if still streaming
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -96,12 +98,6 @@ class Recorder {
   void set_watch(sim::NetworkWatch* watch) { net_.set_watch(watch); }
   /// Attach a trace observer (the MonitorHub's TraceObserver hat).
   void set_trace_observer(dining::TraceObserver* obs) { trace_.set_observer(obs); }
-
-  /// Pre-size the trace for an expected event count. E25-scale runs (10⁵
-  /// actors, millions of trace events) would otherwise take repeated
-  /// geometric regrowth stalls *inside the recorder mutex* — the one lock
-  /// every worker contends on in direct mode.
-  void reserve_trace(std::size_t events) { trace_.reserve(events); }
 
   // -- streaming mode ----------------------------------------------------
 
@@ -336,6 +332,12 @@ class Recorder {
     }
     std::lock_guard<std::mutex> lock(mu_);
     trace_.record(clamp(now), p, kind, peer);
+  }
+
+  /// The environment's sink (dining::Harness on rt and proc): `on_trace`.
+  void record(sim::Time at, sim::ProcessId p, dining::TraceEventKind kind,
+              sim::ProcessId peer) override {
+    on_trace(p, at, kind, peer);
   }
 
  private:

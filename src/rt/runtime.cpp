@@ -114,13 +114,11 @@ void Runtime::start() {
   // Streaming observability: one recorder segment per shard, merged by
   // the recorder's collector thread. Started before the workers so their
   // very first records already go through their own segments.
-  if (opt_.segmented_recorder) {
-    Recorder::StreamOptions sopts;
-    sopts.segments = shard_count;
-    sopts.window_ns = kStreamWindowTicks * opt_.tick_ns;
-    sopts.pending_cap = kStreamPendingCap;
-    rec_.begin_stream(sopts);
-  }
+  Recorder::StreamOptions sopts;
+  sopts.segments = shard_count;
+  sopts.window_ns = kStreamWindowTicks * opt_.tick_ns;
+  sopts.pending_cap = kStreamPendingCap;
+  rec_.begin_stream(sopts);
 
   clock_.rebase();
   started_.store(true, std::memory_order_release);
@@ -143,9 +141,7 @@ void Runtime::stop_and_join() {
   }
   // Workers are quiesced: close the stream (final drain merges every
   // buffered record; the monitors and books are complete after this).
-  if (opt_.segmented_recorder && started_.load(std::memory_order_relaxed)) {
-    rec_.end_stream();
-  }
+  if (started_.load(std::memory_order_relaxed)) rec_.end_stream();
   joined_ = true;
 }
 

@@ -119,6 +119,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "fd/detector.hpp"
 #include "rt/clock.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/recorder.hpp"
@@ -156,13 +157,6 @@ struct Options {
   /// [1, num actors]. `shards == num actors` reproduces the old
   /// thread-per-actor engine (one actor per shard) — the E25 baseline.
   std::size_t shards = 0;
-
-  /// Record through per-shard segments merged by a collector thread
-  /// instead of the single recorder mutex (recorder.hpp "segmented
-  /// streaming mode"). Default on — observability scales with the
-  /// executor; turn off for the old direct mode (the rt_stream
-  /// equivalence tests run both and assert identical verdicts).
-  bool segmented_recorder = true;
 };
 
 /// One actor's mailbox books (Runtime::mailbox_stats), exact after
@@ -259,9 +253,10 @@ class Runtime final : public sim::TransportIface {
   void schedule_recovery(sim::ProcessId p, sim::Time at);
 
   /// Run `fn` in `p`'s dispatch context `delay` ticks from now. Callable
-  /// before start or from `p`'s own handlers (the driver's scheduling
-  /// loop); never runs once `p` has crashed.
-  void call_after(sim::ProcessId p, sim::Time delay, std::function<void()> fn);
+  /// before start or from `p`'s own handlers; never runs once `p` has
+  /// crashed (the crash clears the actor's pending calls, so a recovered
+  /// incarnation never sees its predecessor's).
+  void call_after(sim::ProcessId p, sim::Time delay, std::function<void()> fn) override;
 
   // -- execution ---------------------------------------------------------
 
@@ -543,6 +538,22 @@ class Runtime final : public sim::TransportIface {
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
   bool joined_ = false;
+};
+
+/// Perfect oracle over the runtime's crash flags: suspects exactly the
+/// crashed processes (one atomic load), with zero latency and zero
+/// mistakes. The rt counterpart of `fd::PerfectDetector` (which reads the
+/// simulator); used for ablation and for tests that must not see a single
+/// false suspicion.
+class RtPerfectDetector final : public fd::FailureDetector {
+ public:
+  explicit RtPerfectDetector(const Runtime& rt) : rt_(rt) {}
+  [[nodiscard]] bool suspects(sim::ProcessId, sim::ProcessId target) const override {
+    return rt_.crashed(target);
+  }
+
+ private:
+  const Runtime& rt_;
 };
 
 }  // namespace ekbd::rt

@@ -71,11 +71,28 @@ LoadScenario::LoadScenario(LoadConfig cfg) : cfg_(std::move(cfg)), overload_(cfg
 
   if (rt_engine) {
     rt_ = std::make_unique<RtScenario>(cfg_.base);
-    wire_rt();
   } else {
     sim_ = std::make_unique<Scenario>(cfg_.base);
+  }
+  // Open loop: the environment keeps driving eat durations and recording
+  // the trace, but all hunger comes from the arrival streams.
+  harness().stop_hunger_after(0);
+  harness().set_exit_hook([this](ProcessId p) {
+    book_->on_complete();
+    // Drain one tick later, in p's context: the hook fires inside
+    // finish_eating (before the diner applies its pending churn ops), and
+    // become_hungry from there would interleave with them.
+    harness().engine().call_after(p, 1, [this, p] { drain(p); });
+  });
+  if (rt_engine) {
+    wire_rt();
+  } else {
     wire_sim();
   }
+}
+
+ekbd::dining::Harness& LoadScenario::harness() const {
+  return sim_ != nullptr ? sim_->harness() : rt_->harness();
 }
 
 Diner* LoadScenario::diner(ProcessId p) {
@@ -128,21 +145,7 @@ void LoadScenario::issue_churn_op(const ChurnOp& op) {
 // -- sim wiring -------------------------------------------------------------
 
 void LoadScenario::wire_sim() {
-  ekbd::dining::Harness& h = sim_->harness();
   ekbd::sim::Simulator& sim = sim_->sim();
-  // Open loop: the harness keeps driving eat durations and recording the
-  // trace, but all hunger comes from the arrival streams.
-  h.stop_hunger_after(0);
-  h.set_exit_hook([this](ProcessId p) {
-    book_->on_complete();
-    // Drain deferred one tick: the hook fires mid-handler (before the
-    // diner applies its pending churn ops), and become_hungry from inside
-    // finish_eating would interleave with them.
-    sim_->sim().schedule(sim_->sim().now() + 1, [this, p] {
-      if (!sim_->sim().crashed(p)) drain(p);
-    });
-  });
-
   for (const RecoverySpec& r : cfg_.recoveries) {
     sim.schedule(r.crash_at + 1, [this, p = r.p] {
       book_->on_crash(static_cast<std::size_t>(p));  // the queue dies with it
@@ -188,16 +191,8 @@ void LoadScenario::schedule_sim_sample(Time at) {
 // -- rt wiring --------------------------------------------------------------
 
 void LoadScenario::wire_rt() {
-  ekbd::rt::DiningDriver& drv = rt_->driver();
   ekbd::rt::Runtime& rt = rt_->runtime();
-  drv.stop_hunger_after(0);
-  drv.set_exit_hook([this](ProcessId p) {
-    book_->on_complete();
-    // Same one-tick deferral as the sim hook: the claim is p's own, but
-    // the diner is still inside finish_eating.
-    rt_->runtime().call_after(p, 1, [this, p] { drain(p); });
-  });
-  drv.set_recover_hook([this](ProcessId p) {
+  harness().set_recover_hook([this](ProcessId p) {
     // Everything in the old incarnation's timer heap died with it: shed
     // the queue, restart the arrival chain, re-register the churn ops
     // still ahead of us.
@@ -249,14 +244,7 @@ void LoadScenario::run() {
   rt_->run(cfg_.sample_period, [this](Time at) { sample(at); });
 }
 
-ekbd::obs::Histogram LoadScenario::latency() const {
-  if (sim_ != nullptr) {
-    const ekbd::obs::Histogram* h =
-        sim_->metrics()->find_histogram("dining.hungry_latency");
-    return h != nullptr ? *h : ekbd::obs::Histogram(0.0, 1.0, 1);
-  }
-  return rt_->driver().latency_histogram();
-}
+ekbd::obs::Histogram LoadScenario::latency() const { return harness().latency_histogram(); }
 
 std::string LoadScenario::telemetry_json() const {
   std::string out = sim_ != nullptr ? sim_->telemetry_json() : rt_->telemetry_json();

@@ -116,8 +116,7 @@ class LoadScenario : public Reports {
   /// The engine scenario's books.
   [[nodiscard]] Books books() const override;
 
-  /// Hungry→eat latency histogram (sim: harness obs histogram; rt: the
-  /// driver's striped histogram).
+  /// Hungry→eat latency histogram (the environment's, on either engine).
   [[nodiscard]] ekbd::obs::Histogram latency() const;
 
   /// Engine telemetry with a `"load":{...}` object spliced in: offered /
@@ -140,6 +139,8 @@ class LoadScenario : public Reports {
   /// Feed the overload detector one sample of the book at tick `at`.
   void sample(Time at);
   [[nodiscard]] ekbd::dining::Diner* diner(ProcessId p);
+  /// The engine scenario's environment.
+  [[nodiscard]] ekbd::dining::Harness& harness() const;
 
   LoadConfig cfg_;
   load::ChurnPlan plan_;

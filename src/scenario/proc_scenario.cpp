@@ -15,49 +15,7 @@ namespace ekbd::scenario {
 
 namespace {
 
-using ekbd::dining::Diner;
-using ekbd::dining::TraceEventKind;
 using ekbd::netproc::NodeEngine;
-
-/// Same salt as the sim harness / rt driver env streams.
-constexpr std::uint64_t kEnvSalt = 0x4a52ULL;
-
-/// Child-side environment driver for the node's single diner: plays the
-/// paper's environment (think → hungry, finite eat durations) exactly
-/// like rt::DiningDriver, reduced to one process. Lives on the engine's
-/// retain list; all callbacks run on the node's only thread.
-struct NodeWiring {
-  NodeEngine* eng = nullptr;
-  dining::HarnessOptions opt;
-  std::unique_ptr<sim::Rng> env_rng;
-  Diner* diner = nullptr;
-  DetectorSet detectors;
-
-  void schedule_hunger(Time delay) {
-    eng->call_after(delay, [this] {
-      if (diner->thinking()) diner->become_hungry();
-    });
-  }
-
-  void on_event(Diner& d, TraceEventKind kind) {
-    eng->recorder().on_trace(d.id(), eng->now(), kind);
-    switch (kind) {
-      case TraceEventKind::kStartEating: {
-        const Time duration = env_rng->uniform_int(opt.eat_lo, opt.eat_hi);
-        Diner* dp = &d;
-        eng->call_after(duration, [dp] {
-          if (dp->eating()) dp->finish_eating();
-        });
-        break;
-      }
-      case TraceEventKind::kStopEating:
-        schedule_hunger(env_rng->uniform_int(opt.think_lo, opt.think_hi));
-        break;
-      default:
-        break;
-    }
-  }
-};
 
 /// Divide every timestamp by `s` (ns ticks → Config ticks). Monotone, so
 /// the merged linearization's order is preserved; ties keep merge order.
@@ -111,54 +69,36 @@ void ProcScenario::run() {
 
   // -- child-side wiring --------------------------------------------------
   // The setup runs in the forked child, which reads this object's graph,
-  // coloring and Config from its copy of the parent's memory.
-  dining::HarnessOptions hopt = cfg_.harness;
-  hopt.think_lo *= scale;
-  hopt.think_hi *= scale;
-  hopt.eat_lo *= scale;
-  hopt.eat_hi *= scale;
-  hopt.first_hunger_hi *= scale;
-  hopt.recheck_period *= scale;
+  // coloring and Config from its copy of the parent's memory. The node's
+  // Config speaks nanosecond ticks.
+  Config node_cfg = cfg_;
+  for (Time* t : {&node_cfg.harness.think_lo, &node_cfg.harness.think_hi,
+                  &node_cfg.harness.eat_lo, &node_cfg.harness.eat_hi,
+                  &node_cfg.harness.first_hunger_hi, &node_cfg.harness.recheck_period,
+                  &node_cfg.heartbeat.period, &node_cfg.heartbeat.initial_timeout,
+                  &node_cfg.heartbeat.timeout_increment, &node_cfg.transport.rto_initial,
+                  &node_cfg.transport.rto_max}) {
+    *t *= scale;
+  }
 
-  ekbd::fd::HeartbeatModule::Params hb = cfg_.heartbeat;
-  hb.period *= scale;
-  hb.initial_timeout *= scale;
-  hb.timeout_increment *= scale;
-
-  ekbd::net::ReliableTransport::Params arq = cfg_.transport;
-  arq.rto_initial *= scale;
-  arq.rto_max *= scale;
-
-  const ekbd::netproc::NodeSetup setup = [this, hopt, hb, arq](NodeEngine& eng) {
-    const ProcessId self = eng.config().self;
-
-    auto wiring = std::make_shared<NodeWiring>();
-    wiring->eng = &eng;
-    wiring->opt = hopt;
-    wiring->env_rng = std::make_unique<sim::Rng>(
-        sim::Rng(cfg_.seed ^ kEnvSalt).fork(static_cast<std::uint64_t>(self) + 1));
-    wiring->detectors = make_detector(
-        cfg_, [&eng] { return std::make_unique<ekbd::netproc::CrashNoticeDetector>(eng); });
-
-    std::unique_ptr<Diner> d =
-        make_diner(cfg_, self, graph_, colors_, *wiring->detectors.owned);
-    wiring->diner = d.get();
+  const ekbd::netproc::NodeSetup setup = [this, node_cfg](NodeEngine& eng) {
+    // The node's one diner under the shared environment, recording into
+    // the node's recorder.
+    DetectorSet detectors = make_detector(
+        node_cfg, [&eng] { return std::make_unique<ekbd::netproc::CrashNoticeDetector>(eng); });
+    std::unique_ptr<ekbd::dining::Diner> d =
+        make_diner(node_cfg, eng.config().self, graph_, colors_, *detectors.owned);
+    ekbd::dining::Diner* diner = d.get();
     eng.set_actor(std::move(d));
-    wiring->diner->set_recheck_period(hopt.recheck_period);
-    wiring->diner->set_event_callback([w = wiring.get()](Diner& dn, TraceEventKind kind) {
-      w->on_event(dn, kind);
-    });
-
-    if (wiring->detectors.heartbeat != nullptr) {
-      auto module = std::make_unique<ekbd::fd::HeartbeatModule>(graph_.neighbors(self), hb);
-      wiring->detectors.heartbeat->attach(self, module.get());
-      wiring->diner->host_fd_module(std::move(module));
+    auto harness = std::make_shared<ekbd::dining::Harness>(eng, eng.recorder(), node_cfg.seed,
+                                                           graph_, node_cfg.harness);
+    harness->manage(diner);
+    install_detector_modules(node_cfg, detectors, *harness);
+    if (node_cfg.net_mode != NetMode::kIdeal) {
+      eng.install_arq(node_cfg.transport, detectors.owned.get());
     }
-
-    if (cfg_.net_mode != NetMode::kIdeal) eng.install_arq(arq, wiring->detectors.owned.get());
-
-    wiring->schedule_hunger(wiring->env_rng->uniform_int(0, hopt.first_hunger_hi));
-    eng.retain(std::move(wiring));
+    eng.retain(std::move(detectors.owned));
+    eng.retain(std::move(harness));
   };
 
   result_ = ekbd::netproc::run_cluster(copt, setup);

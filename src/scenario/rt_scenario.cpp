@@ -53,7 +53,6 @@ RtScenario::RtScenario(Config cfg)
   opt.seed = cfg_.seed;
   opt.tick_ns = cfg_.rt_tick_ns;
   opt.shards = cfg_.rt_shards;
-  opt.segmented_recorder = cfg_.rt_segmented_recorder;
   if (cfg_.net_mode != NetMode::kIdeal) {
     // Lossy channels, rt style: seed-deterministic drop/dup coins on the
     // detector layer. The dining layer keeps the reliable in-process
@@ -68,13 +67,11 @@ RtScenario::RtScenario(Config cfg)
   detectors_ = make_detector(
       cfg_, [this] { return std::make_unique<ekbd::rt::RtPerfectDetector>(*rt_); });
 
-  // -- driver + diners ----------------------------------------------------
-  driver_ = std::make_unique<ekbd::rt::DiningDriver>(*rt_, graph_, cfg_.harness);
-  if (cfg_.observability) {
-    // Same shape as the sim harness's dining.hungry_latency histogram.
-    driver_->enable_latency_histogram(0.0, 5000.0, 50);
-  }
-  diners_ = add_diners(cfg_, graph_, colors_, *detectors_.owned, detectors_, *rt_, *driver_);
+  // -- environment + diners -----------------------------------------------
+  harness_ = std::make_unique<ekbd::dining::Harness>(*rt_, recorder_, cfg_.seed, graph_,
+                                                     cfg_.harness);
+  if (cfg_.observability) harness_->record_latency();
+  diners_ = add_diners(cfg_, graph_, colors_, *detectors_.owned, detectors_, *rt_, *harness_);
   for (const auto& [p, at] : cfg_.crashes) {
     rt_->schedule_crash(p, at);
   }
@@ -120,9 +117,7 @@ void RtScenario::run(Time sample_every, const std::function<void(Time)>& sample)
 void RtScenario::snapshot_telemetry(Time at, std::FILE* out, bool final_snapshot) {
   const std::vector<ekbd::rt::ExecutorStats> shards = rt_->stats_per_shard();
   const ekbd::rt::StreamStats ss = recorder_.stream_stats();
-  const ekbd::obs::Histogram lat =
-      driver_->latency_enabled() ? driver_->latency_histogram()
-                                 : ekbd::obs::Histogram(0.0, 1.0, 1);
+  const ekbd::obs::Histogram lat = harness_->latency_histogram();
 
   auto track = [&](const std::string& name, double v) {
     counter_samples_.push_back({at, name, v});
@@ -166,8 +161,8 @@ std::string RtScenario::telemetry_json() const {
   const std::string config_extras = ",\"tick_ns\":" + std::to_string(cfg_.rt_tick_ns) +
                                     ",\"shards\":" + std::to_string(rt_->shard_count());
   std::string sections = ",\"executor\":" + executor_json(rt_->stats());
-  if (driver_->latency_enabled()) {
-    const ekbd::obs::Histogram lat = driver_->latency_histogram();
+  if (harness_->latency_recorded()) {
+    const ekbd::obs::Histogram lat = harness_->latency_histogram();
     sections += ",\"latency\":" + latency_json(lat, ",\"hist\":" + lat.to_json());
   }
   sections += ",\"stream\":" + stream_json(recorder_.stream_stats());

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "obs/perfetto.hpp"
-#include "rt/dining_driver.hpp"
 #include "rt/recorder.hpp"
 #include "rt/runtime.hpp"
 #include "scenario/scenario.hpp"
@@ -58,7 +57,8 @@ class RtScenario : public Reports {
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] ekbd::rt::Runtime& runtime() { return *rt_; }
   [[nodiscard]] ekbd::rt::Recorder& recorder() { return recorder_; }
-  [[nodiscard]] ekbd::rt::DiningDriver& driver() { return *driver_; }
+  /// The environment, recording into the recorder.
+  [[nodiscard]] ekbd::dining::Harness& harness() { return *harness_; }
   [[nodiscard]] const ekbd::graph::ConflictGraph& graph() const { return graph_; }
   [[nodiscard]] const ekbd::dining::Trace& trace() const { return recorder_.trace(); }
   [[nodiscard]] ekbd::dining::Diner* diner(ProcessId p) {
@@ -104,7 +104,7 @@ class RtScenario : public Reports {
   ekbd::rt::Recorder recorder_;
   std::unique_ptr<ekbd::rt::Runtime> rt_;
   DetectorSet detectors_;
-  std::unique_ptr<ekbd::rt::DiningDriver> driver_;
+  std::unique_ptr<ekbd::dining::Harness> harness_;
   std::vector<ekbd::dining::Diner*> diners_;
   std::vector<ekbd::obs::CounterSample> counter_samples_;
   bool ran_ = false;

@@ -132,6 +132,19 @@ DetectorSet make_detector(
   return set;
 }
 
+void install_detector_modules(const Config& cfg, const DetectorSet& detectors,
+                              ekbd::dining::Harness& env) {
+  if (detectors.heartbeat != nullptr) {
+    env.install_modules<ekbd::fd::HeartbeatModule>(*detectors.heartbeat, cfg.heartbeat);
+  }
+  if (detectors.pingpong != nullptr) {
+    env.install_modules<ekbd::fd::PingPongModule>(*detectors.pingpong, cfg.pingpong);
+  }
+  if (detectors.accrual != nullptr) {
+    env.install_modules<ekbd::fd::AccrualModule>(*detectors.accrual, cfg.accrual);
+  }
+}
+
 ekbd::dining::ExclusionReport Reports::exclusion() const {
   const Books b = books();
   return ekbd::dining::check_exclusion(b.trace, b.graph);

@@ -107,11 +107,6 @@ struct Config {
   /// never changes observable behavior (per-actor rng streams, monitor
   /// verdicts) — only scheduling (rt/runtime.hpp).
   std::size_t rt_shards = 0;
-  /// Segmented streaming recorder (rt/recorder.hpp): per-shard segments
-  /// merged by a collector thread instead of a global recorder mutex on
-  /// every hot-path hook. Same books, same monitor verdicts; false falls
-  /// back to the single-mutex direct path.
-  bool rt_segmented_recorder = true;
   /// EventLog capacity when observability is on; 0 = unbounded. Capping
   /// bounds resident log memory for 10⁵⁺-actor runs (the log counts what
   /// it dropped); the Trace and network books stay exact.
@@ -239,17 +234,22 @@ struct DetectorSet {
     const Config& cfg,
     const std::function<std::unique_ptr<ekbd::fd::FailureDetector>()>& oracle);
 
+/// Host the real detectors' per-process modules (`cfg.heartbeat`,
+/// `cfg.pingpong`, `cfg.accrual`) on every diner `env` manages.
+void install_detector_modules(const Config& cfg, const DetectorSet& detectors,
+                              ekbd::dining::Harness& env);
+
 /// Register one `make_diner` diner per vertex on `engine` (the sim
-/// Simulator or the rt Runtime), hand each to `env` (the Harness or
-/// DiningDriver playing the environment) and install the real detectors'
-/// per-process modules there. Returns the diners, indexed by process.
-template <typename EngineT, typename Env>
+/// Simulator or the rt Runtime), hand each to `env`, the environment, and
+/// install the real detectors' per-process modules there. Returns the
+/// diners, indexed by process.
+template <typename EngineT>
 std::vector<ekbd::dining::Diner*> add_diners(const Config& cfg,
                                              const ekbd::graph::ConflictGraph& graph,
                                              const ekbd::graph::Coloring& colors,
                                              const ekbd::fd::FailureDetector& detector,
                                              const DetectorSet& detectors, EngineT& engine,
-                                             Env& env) {
+                                             ekbd::dining::Harness& env) {
   std::vector<ekbd::dining::Diner*> diners;
   diners.reserve(graph.size());
   for (std::size_t v = 0; v < graph.size(); ++v) {
@@ -259,9 +259,7 @@ std::vector<ekbd::dining::Diner*> add_diners(const Config& cfg,
     engine.add_actor(std::move(d));
     env.manage(diners.back());
   }
-  if (detectors.heartbeat != nullptr) env.install_heartbeats(*detectors.heartbeat, cfg.heartbeat);
-  if (detectors.pingpong != nullptr) env.install_pingpongs(*detectors.pingpong, cfg.pingpong);
-  if (detectors.accrual != nullptr) env.install_accruals(*detectors.accrual, cfg.accrual);
+  install_detector_modules(cfg, detectors, env);
   return diners;
 }
 

@@ -58,6 +58,7 @@ ProcessId Simulator::add_actor(std::unique_ptr<Actor> actor) {
   actor_rngs_.push_back(nullptr);
   crash_times_.push_back(-1);
   last_recover_.push_back(-1);
+  incarnations_.push_back(0);
   return id;
 }
 
@@ -186,6 +187,17 @@ void Simulator::schedule(Time at, std::function<void()> fn) {
   Event ev;
   ev.at = at;
   ev.kind = Event::Kind::kCallback;
+  const std::uint64_t seq = push_event(ev);
+  callbacks_[seq] = std::move(fn);
+}
+
+void Simulator::call_after(ProcessId owner, Time delay, std::function<void()> fn) {
+  assert(mode_ == ExecMode::kTimed && "environment calls are a timed-mode feature");
+  Event ev;
+  ev.at = now_ + delay;
+  ev.kind = Event::Kind::kCallback;
+  ev.owner = owner;
+  ev.incarnation = incarnations_[static_cast<std::size_t>(owner)];
   const std::uint64_t seq = push_event(ev);
   callbacks_[seq] = std::move(fn);
 }
@@ -372,6 +384,7 @@ void Simulator::crash(ProcessId p) {
   auto idx = static_cast<std::size_t>(p);
   if (crash_times_[idx] >= 0) return;
   crash_times_[idx] = now_;
+  ++incarnations_[idx];
   if (tracing()) {
     emit(LoggedEvent{now_, LoggedEvent::Kind::kCrash, p, kNoProcess,
                      MsgLayer::kOther, 0, kNoPayloadTag});
@@ -556,7 +569,11 @@ void Simulator::dispatch(Event&& ev) {
       // Detach before invoking: the closure may schedule more events.
       std::function<void()> fn = std::move(it->second);
       callbacks_.erase(it);
-      fn();
+      // A call_after dies with the incarnation that armed it.
+      const bool fenced = ev.owner != kNoProcess &&
+                          (crashed(ev.owner) ||
+                           incarnations_[static_cast<std::size_t>(ev.owner)] != ev.incarnation);
+      if (!fenced) fn();
       break;
     }
   }

@@ -217,6 +217,12 @@ class Simulator final : public TransportIface {
   /// Run `fn` `delay` ticks from now.
   void schedule_in(Time delay, std::function<void()> fn) { schedule(now_ + delay, std::move(fn)); }
 
+  /// `schedule_in` fenced by `owner`'s incarnation: dropped at fire time
+  /// if `owner` crashed after (or was crashed when) the call was armed.
+  /// Timed mode only, like recovery (model-checking worlds drive their
+  /// environment through scheduled choices).
+  void call_after(ProcessId owner, Time delay, std::function<void()> fn) override;
+
   // -- event tracing ------------------------------------------------------
 
   /// Attach (or detach with nullptr) a low-level event log: every send,
@@ -314,8 +320,13 @@ class Simulator final : public TransportIface {
     std::uint64_t seq = 0;
     Kind kind = Kind::kCallback;
     bool partitioned = false;      ///< kDropSettle: partition cut vs. random loss
-    ProcessId owner = kNoProcess;  ///< kTimer / kCrash subject
-    TimerId timer_id = 0;          ///< kTimer
+    /// kTimer / kCrash subject; kCallback: the call_after owner
+    /// (kNoProcess for a schedule() callback).
+    ProcessId owner = kNoProcess;
+    union {
+      TimerId timer_id = 0;       ///< kTimer
+      std::uint64_t incarnation;  ///< kCallback with an owner: armed by this incarnation
+    };
     Message msg;                   ///< kDeliver / kDropSettle
   };
   /// What the heap actually sifts: 16 bytes — the firing time plus a
@@ -410,6 +421,8 @@ class Simulator final : public TransportIface {
   /// Latest recovery instant per process (-1: never recovered). Deliveries
   /// of messages sent before this are dropped — see recover().
   std::vector<Time> last_recover_;
+  /// Crashes so far per process: the incarnation a call_after belongs to.
+  std::vector<std::uint64_t> incarnations_;
   /// Timed mode: 4-ary min-heap over (at, seq) on a plain vector of
   /// compact HeapEntry keys; the Event records live in `slab_` (slots
   /// recycled through `free_slots_`), so sifting moves 24-byte keys, not

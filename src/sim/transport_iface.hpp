@@ -23,9 +23,15 @@
 ///    again;
 ///  * `set_timer`/`cancel_timer` for an actor are only called from that
 ///    actor's own handlers (or before the run starts);
+///  * `call_after(owner, …)` runs its closure in the owner's context (as
+///    if it were one of the owner's handlers) and never once the owner has
+///    crashed, even after a recovery: an environment call dies with the
+///    incarnation that armed it;
 ///  * `actor_rng(p)` is a private per-process stream derived purely from
 ///    (master seed, p) — identical across engines for equal seeds.
 #pragma once
+
+#include <functional>
 
 #include "sim/message.hpp"
 #include "sim/time.hpp"
@@ -59,6 +65,13 @@ class TransportIface {
   /// `p`'s private random stream, derived purely from (seed, p). Only
   /// touched from `p`'s own handlers.
   virtual Rng& actor_rng(ProcessId p) = 0;
+
+  /// Run `fn` in `owner`'s context `delay` ticks from now, unless `owner`
+  /// crashes first: a call armed by one incarnation never runs in a
+  /// later one. Callable before the run starts or from `owner`'s own
+  /// context. The dining environment (dining::Harness) drives think and
+  /// eat durations through this.
+  virtual void call_after(ProcessId owner, Time delay, std::function<void()> fn) = 0;
 
  protected:
   /// Registration hook for engines: wires an actor to this engine under

@@ -261,4 +261,85 @@ TEST(Recovery, RtTwoVictimsRecoverIndependently) {
   EXPECT_EQ(sc.monitor_agreement(), "");
 }
 
+// ---------------------------------------------------------- crash fence
+//
+// The environment's calls die with the incarnation that armed them: a
+// recovered process re-enters the hunger cycle from its kRecovered alone.
+// Diner::on_recover leaves the diner thinking and only the environment
+// makes it hungry, so a first hunger sooner than think_lo after kRecovered
+// (or a meal shorter than eat_lo) is a pre-crash closure firing into the
+// new incarnation. Each row crashes p1 and recovers it 3 ticks later, at
+// several crash times, on the sim and on rt.
+
+Config fence_config(Engine engine, Time crash_at) {
+  Config cfg;
+  cfg.seed = 1;
+  cfg.engine = engine;
+  cfg.topology = "ring";
+  cfg.n = 6;
+  cfg.algorithm = Algorithm::kWaitFree;
+  cfg.detector = DetectorKind::kPerfect;
+  cfg.partial_synchrony = false;  // uniform 1-10 tick delays: p1 eats early and often
+  cfg.harness.think_lo = 200;
+  cfg.harness.think_hi = 300;
+  cfg.harness.eat_lo = 20;
+  cfg.harness.eat_hi = 60;
+  cfg.crashes = {{1, crash_at}};
+  cfg.run_for = crash_at + 1'500;
+  return cfg;
+}
+
+/// The first breach of the fence by `p` after its kRecovered ("" if none),
+/// with `slack` ticks allowed for the rt recorder's monotonic clamp.
+std::string fence_breach(const ekbd::dining::Trace& trace, ProcessId p,
+                         const ekbd::dining::HarnessOptions& h, Time slack) {
+  Time recovered = -1;
+  Time eating_since = -1;
+  bool hungry_seen = false;
+  for (const auto& ev : trace.events()) {
+    if (ev.process != p) continue;
+    if (ev.kind == TraceEventKind::kRecovered) recovered = ev.at;
+    if (recovered < 0) continue;
+    if (ev.kind == TraceEventKind::kBecameHungry && !hungry_seen) {
+      hungry_seen = true;
+      if (ev.at - recovered < h.think_lo - slack) {
+        return "hungry at " + std::to_string(ev.at) + ", " +
+               std::to_string(ev.at - recovered) + " ticks after kRecovered at " +
+               std::to_string(recovered);
+      }
+    }
+    if (ev.kind == TraceEventKind::kStartEating) eating_since = ev.at;
+    if (ev.kind == TraceEventKind::kStopEating && eating_since >= 0) {
+      if (ev.at - eating_since < h.eat_lo - slack) {
+        return "meal of " + std::to_string(ev.at - eating_since) + " ticks ending at " +
+               std::to_string(ev.at);
+      }
+      eating_since = -1;
+    }
+  }
+  if (recovered < 0) return "no kRecovered";
+  if (!hungry_seen) return "never hungry after kRecovered";
+  return "";
+}
+
+TEST(CrashFence, SimRecoveredProcessRunsNoStaleEnvironmentCall) {
+  for (const Time crash_at : {1'000, 1'250, 1'500, 1'750, 2'000, 2'250, 2'500}) {
+    const Config cfg = fence_config(Engine::kSim, crash_at);
+    Scenario sc(cfg);
+    sc.sim().schedule_recovery(1, crash_at + 3);
+    sc.run();
+    EXPECT_EQ(fence_breach(sc.trace(), 1, cfg.harness, 0), "") << "crash at " << crash_at;
+  }
+}
+
+TEST(CrashFence, RtRecoveredProcessRunsNoStaleEnvironmentCall) {
+  for (const Time crash_at : {600, 1'000, 1'400}) {
+    const Config cfg = fence_config(Engine::kRt, crash_at);
+    RtScenario sc(cfg);
+    sc.runtime().schedule_recovery(1, crash_at + 3);
+    sc.run();
+    EXPECT_EQ(fence_breach(sc.trace(), 1, cfg.harness, 10), "") << "crash at " << crash_at;
+  }
+}
+
 }  // namespace

@@ -113,23 +113,19 @@ void expect_trace_well_formed(const ekbd::dining::Trace& trace) {
 
 // ----------------------------------------------------------- equivalence
 
-// Same config across the recorder's modes and shard layouts: direct
-// (single-mutex), streaming with 1 shard, 2 shards, one-per-core, and
-// thread-per-actor. Every run must pass the full verdict battery and the
-// structural invariants.
+// Same config across shard layouts: streaming with 1 shard, 2 shards,
+// one-per-core, and thread-per-actor. Every run must pass the full verdict
+// battery and the structural invariants.
 TEST(RtStreamEquivalence, ModesAndShardCountsAllAgree) {
   struct Layout {
     const char* name;
-    bool segmented;
     std::size_t shards;
   };
   const Layout layouts[] = {
-      {"direct", false, 0},         {"stream/1", true, 1}, {"stream/2", true, 2},
-      {"stream/cores", true, 0},    {"stream/n", true, 8},
+      {"stream/1", 1}, {"stream/2", 2}, {"stream/cores", 0}, {"stream/n", 8},
   };
   for (const Layout& l : layouts) {
     ekbd::scenario::Config cfg = stream_config(7001);
-    cfg.rt_segmented_recorder = l.segmented;
     cfg.rt_shards = l.shards;
     cfg.net_mode = ekbd::scenario::NetMode::kLossy;
     cfg.crashes = {{3, 700}};
@@ -139,21 +135,6 @@ TEST(RtStreamEquivalence, ModesAndShardCountsAllAgree) {
     expect_log_well_formed(*s.event_log());
     expect_trace_well_formed(s.trace());
   }
-}
-
-// The direct path must be bit-for-bit the old recorder: no collector, no
-// stream stats, same verdict battery.
-TEST(RtStreamEquivalence, DirectModeHasNoStream) {
-  ekbd::scenario::Config cfg = stream_config(7002);
-  cfg.rt_segmented_recorder = false;
-  ekbd::scenario::RtScenario s(cfg);
-  s.run();
-  EXPECT_FALSE(s.recorder().streaming());
-  const ekbd::rt::StreamStats ss = s.recorder().stream_stats();
-  EXPECT_EQ(ss.collect_passes, 0u);
-  EXPECT_EQ(ss.merged_events, 0u);
-  EXPECT_EQ(ss.dropped_records, 0u);
-  expect_books_coherent(s, "direct");
 }
 
 // --------------------------------------------------------------- accounting
@@ -291,8 +272,8 @@ TEST(RtStreamTelemetry, LatencyHistogramMatchesTrace) {
   ekbd::scenario::Config cfg = stream_config(7009);
   ekbd::scenario::RtScenario s(cfg);
   s.run();
-  ASSERT_TRUE(s.driver().latency_enabled());
-  const ekbd::obs::Histogram lat = s.driver().latency_histogram();
+  ASSERT_TRUE(s.harness().latency_recorded());
+  const ekbd::obs::Histogram lat = s.harness().latency_histogram();
   // One sample per kStartEating with an open hungry session; every start
   // here follows a kBecameHungry, so the counts match exactly.
   EXPECT_EQ(lat.count(), s.trace().count(ekbd::dining::TraceEventKind::kStartEating));

@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "core/wait_free_diner.hpp"
+#include "dining/harness.hpp"
 #include "graph/coloring.hpp"
 #include "graph/topology.hpp"
 #include "obs/monitors.hpp"
 #include "rt/arq.hpp"
-#include "rt/dining_driver.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/recorder.hpp"
 #include "rt/replay.hpp"
@@ -566,14 +566,14 @@ TEST(RtArqTest, DiningTrafficRidesArqUnderDropDupCoins) {
   ekbd::rt::Runtime rt(opt, rec);
   const ekbd::rt::RtPerfectDetector detector(rt);
 
-  ekbd::rt::DiningDriver driver(rt, g);
+  ekbd::dining::Harness env(rt, rec, opt.seed, g);
   for (std::size_t v = 0; v < g.size(); ++v) {
     const auto p = static_cast<ProcessId>(v);
     std::vector<ProcessId> neighbors = g.neighbors(p);
     std::vector<int> ncolors;
     ncolors.reserve(neighbors.size());
     for (const ProcessId j : neighbors) ncolors.push_back(colors[static_cast<std::size_t>(j)]);
-    driver.manage(rt.make_actor<ekbd::core::WaitFreeDiner>(
+    env.manage(rt.make_actor<ekbd::core::WaitFreeDiner>(
         std::move(neighbors), colors[v], std::move(ncolors), detector,
         ekbd::core::WaitFreeDiner::Options{}));
   }
