@@ -193,14 +193,15 @@ ClusterResult run_cluster(const ClusterOptions& opt, const NodeSetup& setup) {
       const Action& a = actions[next_action++];
       switch (a.kind) {
         case Action::Kind::kKill: {
-          const auto [node, tick] = opt.crashes[a.index];
+          const sim::ProcessId node = opt.crashes[a.index].first;
           const auto ni = static_cast<std::size_t>(node);
           if (ni < opt.n && !reaped[ni]) {
-            ::kill(static_cast<pid_t>(res.nodes[ni].pid), SIGKILL);
-            int status = 0;
-            ::waitpid(static_cast<pid_t>(res.nodes[ni].pid), &status, 0);
-            decode_status(res.nodes[ni], status);
-            reaped[ni] = true;
+            kill_and_reap(ni);
+            // The supervisor may wake after the planned tick, and the node
+            // logs until it dies: stamp the crash once it is reaped, on the
+            // nodes' shared clock, so no record of the node comes after it.
+            const sim::Time tick = (rt::TickClock::epoch_now_ns() - epoch_ns) /
+                                   static_cast<std::int64_t>(opt.tick_ns);
             res.nodes[ni].killed_by_plan = true;
             res.nodes[ni].crash_tick = tick;
             res.crashes.emplace_back(node, tick);

@@ -8,7 +8,9 @@
 ///  * **real crashes** — the crash plan is executed with SIGKILL at the
 ///    scripted ticks: the victim dies mid-whatever-it-was-doing, its log
 ///    file ends mid-frame, its peers find out the hard way (plus a
-///    best-effort CrashNotice broadcast, the ground-truth oracle feed);
+///    best-effort CrashNotice broadcast, the ground-truth oracle feed).
+///    The crash is stamped with the tick at which the orchestrator has
+///    reaped the victim, which can be later than the planned tick;
 ///  * **runtime partitions** — partition/edge-cut windows are injected
 ///    while the cluster runs, as control frames to every node's filter
 ///    (duplicated against UDP loss; the windows carry absolute ticks, so
@@ -16,10 +18,10 @@
 ///  * **supervision** — every node is reaped with `waitpid`; nodes still
 ///    alive `node_timeout_ms` after the horizon are SIGKILLed and marked
 ///    timed out, so a wedged node fails the run instead of hanging it;
-///  * **log shipping** — each node's streamed Recorder log is loaded and
-///    merged (rt/log_io) into the one Trace + EventLog + Network history
-///    the MonitorHub and the post-hoc checkers consume, with the
-///    orchestrator's ground-truth crash times inserted.
+///  * **log shipping** — each node's streamed log is loaded and merged
+///    (rt/log_io) into the one Trace + EventLog + Network history the
+///    MonitorHub and the post-hoc checkers consume, with the
+///    orchestrator's observed crash times inserted.
 ///
 /// fork() without exec: the child runs the `NodeSetup` callback (which
 /// builds the actor and optional ARQ inside the child), runs the engine,
@@ -54,7 +56,7 @@ struct ClusterOptions {
   std::vector<net::EdgeCut> edge_cuts;
 
   /// SIGKILL plan: (node, tick). Real crashes — no cooperation from the
-  /// victim whatsoever.
+  /// victim whatsoever. The kill lands at or after the planned tick.
   std::vector<std::pair<sim::ProcessId, sim::Time>> crashes;
 
   std::string log_dir = ".";
@@ -75,7 +77,10 @@ struct NodeOutcome {
   int term_signal = 0;
   bool timed_out = false;       ///< SIGKILLed by the supervisor after grace
   bool killed_by_plan = false;  ///< SIGKILLed by the crash plan
-  sim::Time crash_tick = -1;    ///< plan tick when killed_by_plan
+  /// When killed_by_plan: the tick at which the node had been reaped (at
+  /// or after the plan tick; every record the node wrote is stamped at or
+  /// before it).
+  sim::Time crash_tick = -1;
   std::string log_path;
 };
 
@@ -88,7 +93,7 @@ struct ClusterResult {
   std::vector<NodeOutcome> nodes;
   std::vector<rt::Recording> parts;  ///< per-node shipped logs, as loaded
   rt::Recording merged;              ///< the cluster-wide linearization
-  /// Ground-truth crash times as injected (plan ticks), the list
+  /// Crash times as observed (NodeOutcome::crash_tick), the list
   /// merge_recordings already consumed.
   std::vector<std::pair<sim::ProcessId, sim::Time>> crashes;
 };

@@ -15,6 +15,11 @@ constexpr std::uint64_t kFaultSalt = 0x9e3779b97f4a7c15ULL;
 std::uint64_t fault_seed(std::uint64_t seed, sim::ProcessId self) {
   return sim::Rng(seed ^ kFaultSalt).fork(static_cast<std::uint64_t>(self) + 1).u64();
 }
+
+sim::LoggedEvent message_event(sim::Time at, sim::LoggedEvent::Kind kind,
+                               const sim::Message& m) {
+  return {at, kind, m.from, m.to, m.layer, m.seq, sim::payload_tag(m.payload)};
+}
 }  // namespace
 
 NodeEngine::NodeEngine(NodeConfig cfg)
@@ -26,10 +31,6 @@ NodeEngine::NodeEngine(NodeConfig cfg)
       crashed_(cfg_.n, 0) {
   for (const net::Partition& p : cfg_.partitions) filter_.add_partition(p);
   for (const net::EdgeCut& c : cfg_.edge_cuts) filter_.add_edge_cut(c);
-  // Stream every record to disk as it happens: a SIGKILL mid-run loses at
-  // most the record being written (rt/log_io is frame-per-record).
-  rec_.set_event_sink(&writer_);
-  rec_.set_trace_observer(&writer_);
 }
 
 NodeEngine::~NodeEngine() = default;
@@ -92,30 +93,37 @@ sim::Rng& NodeEngine::actor_rng(sim::ProcessId p) {
 
 void NodeEngine::raw_send(sim::ProcessId from, sim::ProcessId to,
                           const sim::Payload& payload, sim::MsgLayer layer) {
-  const sim::Time t = now();
   sim::Message m;
   m.from = from;
   m.to = to;
+  m.sent_at = now();
   m.layer = layer;
+  m.seq = next_seq_++;
   m.payload = payload;
 
   // The injected adversary decides at the socket boundary, before the
   // kernel sees the datagram; the wire underneath adds whatever loss and
   // reordering it genuinely has (the reorder coin is redundant here and
   // only keeps the counters comparable across engines).
-  const sim::FaultDecision d = filter_.on_send(from, to, layer, t);
+  const sim::FaultDecision d = filter_.on_send(from, to, layer, m.sent_at);
 
-  // The local books stamp the send; the matching settle happens in the
-  // *receiver's* process. Each node's Network is a local ledger — the
-  // cluster-wide books are rebuilt from the merged logs (rt/log_io), so
-  // an in-flight entry that never settles locally is expected, and
-  // Network::delivered on a direction this node never stamped is a no-op.
-  rec_.on_send(m, t, peer_crashed(to), d.drop, d.partitioned);
-  if (d.drop) return;
+  // Every record hits the disk before the next dispatch: a SIGKILL loses
+  // at most the record being written (rt/log_io is frame-per-record). The
+  // matching delivery is logged by the *receiver's* process.
+  writer_.on_event(message_event(m.sent_at, sim::LoggedEvent::Kind::kSend, m));
+  if (d.drop) {
+    writer_.on_event(message_event(m.sent_at,
+                                   d.partitioned ? sim::LoggedEvent::Kind::kPartitionLoss
+                                                 : sim::LoggedEvent::Kind::kLoss,
+                                   m));
+    return;
+  }
   transmit(m);
   if (d.duplicate) {
     sim::Message copy = m;
-    rec_.on_duplicate(copy, now(), peer_crashed(to));
+    copy.sent_at = now();
+    copy.seq = next_seq_++;
+    writer_.on_event(message_event(copy.sent_at, sim::LoggedEvent::Kind::kDuplicate, copy));
     transmit(copy);
   }
 }
@@ -134,14 +142,17 @@ void NodeEngine::transmit(const sim::Message& m) {
 std::uint64_t NodeEngine::book_logical_send(sim::ProcessId from, sim::ProcessId to,
                                             const sim::Payload& payload,
                                             sim::MsgLayer layer) {
-  return rec_.on_logical_send(from, to, sim::payload_tag(payload), layer, now(),
-                              peer_crashed(to));
+  const std::uint64_t seq = next_seq_++;
+  writer_.on_event({now(), sim::LoggedEvent::Kind::kSend, from, to, layer, seq,
+                    sim::payload_tag(payload)});
+  return seq;
 }
 
 void NodeEngine::book_logical_drop(sim::ProcessId from, sim::ProcessId to,
                                    const sim::Payload& payload, sim::MsgLayer layer,
                                    std::uint64_t logical_seq) {
-  rec_.on_logical_drop(from, to, sim::payload_tag(payload), layer, logical_seq, now());
+  writer_.on_event({now(), sim::LoggedEvent::Kind::kDrop, from, to, layer, logical_seq,
+                    sim::payload_tag(payload)});
 }
 
 void NodeEngine::physical_send(sim::ProcessId from, sim::ProcessId to,
@@ -152,9 +163,9 @@ void NodeEngine::physical_send(sim::ProcessId from, sim::ProcessId to,
 void NodeEngine::deliver_logical(sim::ProcessId from, sim::ProcessId to,
                                  const sim::Payload& payload, sim::MsgLayer layer,
                                  std::uint64_t logical_seq, sim::Time sent_at) {
-  const sim::Time t =
-      rec_.on_logical_deliver(from, to, sim::payload_tag(payload), layer, logical_seq,
-                              now());
+  const sim::Time t = now();
+  writer_.on_event({t, sim::LoggedEvent::Kind::kDeliver, from, to, layer, logical_seq,
+                    sim::payload_tag(payload)});
   sim::Message m;
   m.from = from;
   m.to = to;
@@ -211,7 +222,8 @@ void NodeEngine::handle_frame(std::uint8_t kind, const std::uint8_t* body,
 void NodeEngine::handle_data(sim::Message m) {
   // This node is self-evidently alive to receive; kDrop-on-corpse cannot
   // happen here (a SIGKILLed node simply stops reading its socket).
-  rec_.on_deliver(m, now(), /*target_crashed=*/false);
+  m.deliver_at = now();
+  writer_.on_event(message_event(m.deliver_at, sim::LoggedEvent::Kind::kDeliver, m));
   if (arq_ != nullptr && m.layer == sim::MsgLayer::kTransport &&
       arq_->on_physical_deliver(m)) {
     return;  // ARQ segment, consumed (logical deliveries were dispatched)
@@ -274,7 +286,8 @@ void NodeEngine::fire_due_timers() {
       continue;
     }
     if (active_.erase(e.id) > 0) {
-      rec_.on_timer(cfg_.self, now());
+      writer_.on_event({now(), sim::LoggedEvent::Kind::kTimer, cfg_.self, sim::kNoProcess,
+                        sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
       actor_->on_timer(e.id);
     }
   }
@@ -350,10 +363,9 @@ int NodeEngine::run() {
     for (;;) sock_.wait_readable(1000);
   }
 
-  rec_.set_end_time(cfg_.horizon);
   writer_.append_end_time(cfg_.horizon);
   writer_.close();
-  return kNodeOk;
+  return writer_.ok() ? kNodeOk : kNodeLogFailed;
 }
 
 }  // namespace ekbd::netproc

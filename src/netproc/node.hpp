@@ -7,8 +7,9 @@
 /// every message over real UDP datagrams on the loopback interface, one
 /// checksummed codec frame per datagram. Crashes are real here too: the
 /// orchestrator (cluster.hpp) SIGKILLs the process mid-run, which is why
-/// the engine streams its Recorder history to disk as it goes (rt/log_io)
-/// instead of keeping it in memory.
+/// the engine writes each record of its history straight to disk as it
+/// happens (rt/log_io) instead of keeping it in memory. The cluster-wide
+/// books are rebuilt from the merged logs, so a node keeps none itself.
 ///
 /// Layering, bottom to top:
 ///
@@ -27,15 +28,18 @@
 ///
 /// Single-threadedness is the engine's whole concurrency story: socket
 /// pump, timer heap, ARQ and actor handlers all run on the one main
-/// thread, so handler atomicity is trivial and the Recorder mutex is
-/// never contended. Real concurrency happens *between* processes — which
-/// is exactly the granularity the paper's model quantifies over.
+/// thread, so handler atomicity is trivial and the order in which the
+/// node writes its records is its local history. Real concurrency happens
+/// *between* processes — which is exactly the granularity the paper's
+/// model quantifies over.
 ///
 /// Time: every node rebases its `TickClock` to the orchestrator-chosen
 /// CLOCK_MONOTONIC epoch (Start frame), and the engine defaults to 1 ns
 /// ticks, so causally ordered cross-node events carry strictly increasing
 /// stamps and the shipped logs merge into a valid linearization
-/// (rt/log_io.hpp).
+/// (rt/log_io.hpp). One seq counter numbers the node's physical and
+/// logical sends alike, so (sender, seq) names a send cluster-wide and
+/// pairs it with its delivery or drop in the merged logs.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +59,6 @@
 #include "netproc/udp.hpp"
 #include "rt/clock.hpp"
 #include "rt/log_io.hpp"
-#include "rt/recorder.hpp"
 #include "sim/actor.hpp"
 #include "sim/rng.hpp"
 #include "sim/transport_iface.hpp"
@@ -76,7 +79,7 @@ struct NodeConfig {
   std::vector<net::Partition> partitions;
   std::vector<net::EdgeCut> edge_cuts;
 
-  std::string log_path;         ///< shipped Recorder log (rt/log_io framing)
+  std::string log_path;         ///< shipped log (rt/log_io framing)
   std::uint16_t orch_port = 0;  ///< orchestrator's control socket
   int handshake_timeout_ms = 10'000;
 
@@ -90,6 +93,7 @@ enum NodeExit : int {
   kNodeOk = 0,
   kNodeHandshakeTimeout = 2,
   kNodeSetupFailed = 3,
+  kNodeLogFailed = 4,  ///< a log write failed: the shipped log has holes
 };
 
 class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
@@ -139,7 +143,8 @@ class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
   // -- queries -------------------------------------------------------------
 
   [[nodiscard]] const NodeConfig& config() const { return cfg_; }
-  [[nodiscard]] rt::Recorder& recorder() { return rec_; }
+  /// The node's log, and the environment's trace sink.
+  [[nodiscard]] rt::LogWriter& log_writer() { return writer_; }
   /// Ground truth from the orchestrator's CrashNotice frames.
   [[nodiscard]] bool peer_crashed(sim::ProcessId p) const {
     return p >= 0 && static_cast<std::size_t>(p) < crashed_.size() &&
@@ -187,7 +192,7 @@ class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
     }
   };
 
-  /// The raw datagram path: fault filter → record → encode → sendto.
+  /// The raw datagram path: number → fault filter → log → encode → sendto.
   void raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
                 sim::MsgLayer layer);
   void transmit(const sim::Message& m);
@@ -204,8 +209,8 @@ class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
   NodeConfig cfg_;
   UdpSocket sock_;
   rt::TickClock clock_;
-  rt::Recorder rec_;
   rt::LogWriter writer_;
+  std::uint64_t next_seq_ = 0;  ///< physical and logical sends share it
   net::LinkFaultModel filter_;
   sim::Rng rng_;  ///< actor stream: Rng(seed).fork(self + 1)
 

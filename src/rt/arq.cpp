@@ -33,7 +33,7 @@ std::uint64_t RtArq::book_logical_send(sim::ProcessId from, sim::ProcessId to,
                                        const sim::Payload& payload, sim::MsgLayer layer) {
   const std::uint64_t seq = next_logical_seq_++;
   recorder_seq_.emplace(seq, rt_.recorder().on_logical_send(from, to, sim::payload_tag(payload),
-                                                            layer, rt_.now(), rt_.crashed(to)));
+                                                            layer, rt_.now()));
   return seq;
 }
 
@@ -61,8 +61,8 @@ void RtArq::deliver_logical(sim::ProcessId from, sim::ProcessId to,
                             const sim::Payload& payload, sim::MsgLayer layer,
                             std::uint64_t logical_seq, sim::Time sent_at) {
   const std::uint64_t rec_seq = take_recorder_seq(logical_seq);
-  const sim::Time t = rt_.recorder().on_logical_deliver(from, to, sim::payload_tag(payload),
-                                                        layer, rec_seq, rt_.now());
+  const sim::Time t = rt_.now();
+  rt_.recorder().on_logical_deliver(from, to, sim::payload_tag(payload), layer, rec_seq, t);
   // We are on `to`'s worker thread, inside the dispatch slot that popped
   // the physical segment: calling the actor directly preserves handler
   // atomicity, and `to`'s crash flag cannot flip mid-dispatch (crashes

@@ -25,8 +25,8 @@
 ///
 /// Logical seqs: the ARQ numbers the logical messages itself (one
 /// counter, under mu_) and carries that number in the DataSegment. The
-/// recorder's own seq for the same message, which in streaming mode packs
-/// the segment id above bit 40 and cannot fit the segment's 30-bit field,
+/// recorder's own seq for the same message, which packs the recorder
+/// segment id above bit 40 and cannot fit the DataSegment's 30-bit field,
 /// stays here until the message is delivered or written off, and books
 /// both ends.
 ///

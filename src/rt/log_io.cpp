@@ -9,7 +9,8 @@ namespace codec = sim::codec;
 
 // -- LogWriter -------------------------------------------------------------
 
-LogWriter::LogWriter(const std::string& path) : file_(std::fopen(path.c_str(), "wb")) {}
+LogWriter::LogWriter(const std::string& path)
+    : file_(std::fopen(path.c_str(), "wb")), failed_(file_ == nullptr) {}
 
 LogWriter::~LogWriter() { close(); }
 
@@ -40,16 +41,17 @@ void LogWriter::on_event(const sim::LoggedEvent& ev) {
   write_frame(codec::encode_event(ev, buf_, sizeof(buf_)));
 }
 
-void LogWriter::on_trace_event(const dining::TraceEvent& ev) {
+void LogWriter::record(sim::Time at, sim::ProcessId p, dining::TraceEventKind kind,
+                       sim::ProcessId peer) {
   if (file_ == nullptr) {
     failed_ = true;
     return;
   }
   codec::Writer w(buf_ + codec::kHeaderSize, sizeof(buf_) - codec::kHeaderSize);
-  w.i64(ev.at);
-  w.i32(ev.process);
-  w.u8(static_cast<std::uint8_t>(ev.kind));
-  w.i32(ev.peer);
+  w.i64(at);
+  w.i32(p);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.i32(peer);
   write_frame(w.ok() ? codec::seal_frame(buf_, sizeof(buf_),
                                          static_cast<std::uint8_t>(codec::FrameKind::kTrace),
                                          w.size())
@@ -187,8 +189,7 @@ void apply_event(const sim::LoggedEvent& ev, sim::Network& net,
     case sim::LoggedEvent::Kind::kSend:
     case sim::LoggedEvent::Kind::kDuplicate:
       // Books the send on the pair/target ledgers and fires the attached
-      // NetworkWatch (on_send + high-water) — identical to how the live
-      // single-mutex recorder booked it.
+      // NetworkWatch (on_send + high-water).
       net.logical_sent(ev.from, ev.to, ev.layer, ev.at, crashed.count(ev.to) != 0);
       break;
     case sim::LoggedEvent::Kind::kDeliver:

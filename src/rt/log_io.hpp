@@ -1,5 +1,5 @@
 /// \file log_io.hpp
-/// Recorder log shipping: streaming on-disk serialization of one node's
+/// Log shipping: streaming on-disk serialization of one proc node's
 /// observable history, and the merge/rebuild machinery that turns a set
 /// of shipped per-node logs back into the Trace + EventLog + Network
 /// books every checker and the MonitorHub consume.
@@ -50,11 +50,11 @@ struct Recording {
   bool truncated = false;   ///< file ended mid-frame (killed mid-write)
 };
 
-/// Streaming log writer. Implements the Recorder's two streaming hats
-/// (EventSink + TraceObserver), so a node wires it with
-/// `rec.set_event_sink(&w); rec.set_trace_observer(&w)` and every record
-/// hits the disk before the next dispatch.
-class LogWriter final : public sim::EventSink, public dining::TraceObserver {
+/// Streaming log writer: one frame per record, flushed as written, so
+/// every record hits the disk before the next dispatch. A proc node hands
+/// it its events (`on_event`) and, as the environment's `TraceSink`, its
+/// scheduling records.
+class LogWriter final : public sim::EventSink, public dining::TraceSink {
  public:
   explicit LogWriter(const std::string& path);
   ~LogWriter() override;
@@ -62,11 +62,13 @@ class LogWriter final : public sim::EventSink, public dining::TraceObserver {
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
-  /// False if the file could not be opened or a write failed.
-  [[nodiscard]] bool ok() const { return file_ != nullptr && !failed_; }
+  /// False if the file could not be opened or a write (or the final
+  /// close) failed; stays meaningful after `close()`.
+  [[nodiscard]] bool ok() const { return !failed_; }
 
   void on_event(const sim::LoggedEvent& ev) override;
-  void on_trace_event(const dining::TraceEvent& ev) override;
+  void record(sim::Time at, sim::ProcessId p, dining::TraceEventKind kind,
+              sim::ProcessId peer) override;
 
   /// Clean-shutdown trailer: the run horizon (written once, at exit).
   void append_end_time(sim::Time t);
@@ -107,7 +109,7 @@ void rebuild(const Recording& rec, obs::MonitorHub& hub, sim::Network& net,
              dining::Trace& trace, sim::EventLog* log = nullptr);
 
 /// Apply one logged event to the network books exactly as `rebuild` (and
-/// the live single-mutex recorder) does: sends and injected duplicates
+/// the rt recorder's collector) does: sends and injected duplicates
 /// book through `logical_sent` — firing the attached NetworkWatch —
 /// deliveries/drops/losses settle through `logical_delivered`, and a
 /// crash updates `crashed`, the set from which every later send's

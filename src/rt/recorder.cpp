@@ -1,5 +1,6 @@
 #include "rt/recorder.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <limits>
@@ -55,9 +56,6 @@ void Recorder::begin_stream(const StreamOptions& opts) {
   }
   pools_.assign(nseg, SegmentPool{});
   crashed_seen_.clear();
-  // Continue the direct-mode clamp: anything recorded before the stream
-  // started keeps its place ahead of the merged tail.
-  merged_tick_ = last_;
   floor_.store(0, std::memory_order_relaxed);
   shedding_.store(false, std::memory_order_relaxed);
   {
@@ -80,8 +78,6 @@ void Recorder::end_stream() {
   // Final drain, no watermark horizon: every producer has quiesced (the
   // runtime joins its workers first), so everything buffered is merged.
   collect_pass(/*final_drain=*/true);
-  // Hand the monotonic clamp back to direct mode.
-  if (merged_tick_ > last_) last_ = merged_tick_;
   streaming_.store(false, std::memory_order_release);
 }
 
@@ -91,7 +87,7 @@ void Recorder::bind_segment(std::size_t index) {
 }
 
 void Recorder::heartbeat() {
-  RecorderSegment& seg = segment_for_thread();
+  RecorderSegment& seg = *segments_[segment_index()];
   const std::int64_t raw = now_key();
   std::lock_guard<std::mutex> lock(seg.mu);
   if (raw > seg.last_key) seg.last_key = raw;
@@ -111,117 +107,41 @@ StreamStats Recorder::stream_stats() const {
   return out;
 }
 
-// -- streaming producers ----------------------------------------------------
+// -- the producer path ------------------------------------------------------
 
-RecorderSegment& Recorder::segment_for_thread() {
-  if (tls_binding.owner == this && tls_binding.gen == stream_gen_) {
-    return *segments_[tls_binding.index];
-  }
-  return *segments_.back();  // the external catch-all
+std::size_t Recorder::segment_index() const {
+  if (tls_binding.owner == this && tls_binding.gen == stream_gen_) return tls_binding.index;
+  return segments_.size() - 1;  // the external catch-all
 }
 
-std::int64_t Recorder::clamp_key_locked(RecorderSegment& seg, std::int64_t raw) {
-  std::int64_t key = raw;
-  const std::int64_t floor = floor_.load(std::memory_order_acquire);
-  if (key < seg.last_key) key = seg.last_key;
-  if (key < floor) key = floor;
+std::uint64_t Recorder::append(const SegmentRecord& r, bool numbered,
+                               std::optional<sim::LoggedEvent::Kind> then) {
+  assert(streaming() && "recorder hook called outside begin_stream..end_stream");
+  const std::size_t index = segment_index();
+  RecorderSegment& seg = *segments_[index];
+  const std::int64_t raw = now_key();
+  std::lock_guard<std::mutex> lock(seg.mu);
+  // Monotonic within the segment, and never below the merge horizon
+  // already consumed (which only the external segment can trail).
+  const std::int64_t key = std::max({raw, seg.last_key, floor_.load(std::memory_order_acquire)});
   seg.last_key = key;
-  return key;
-}
-
-void Recorder::push_locked(RecorderSegment& seg, SegmentRecord& rec, std::int64_t key) {
-  rec.key = key;
+  const std::uint64_t seq =
+      numbered ? (static_cast<std::uint64_t>(index + 1) << kSeqSegmentShift) | seg.next_seq++
+               : r.event.seq;
   if (shedding_.load(std::memory_order_relaxed)) {
-    ++seg.dropped;
-    return;
+    seg.dropped += then ? 2 : 1;
+  } else {
+    SegmentRecord& rec = seg.buf.emplace_back(r);
+    rec.key = key;
+    rec.event.seq = seq;
+    if (then) {
+      SegmentRecord second = rec;  // copied first: the next push may reallocate
+      second.event.kind = *then;
+      seg.buf.push_back(second);
+    }
   }
-  seg.buf.push_back(rec);
-}
-
-void Recorder::stream_send(sim::Message& m, sim::Time now, bool lost, bool partitioned) {
-  RecorderSegment& seg = segment_for_thread();
-  const std::int64_t raw = now_key();
-  std::lock_guard<std::mutex> lock(seg.mu);
-  const std::int64_t key = clamp_key_locked(seg, raw);
-  // The stamp the direct mode's net_.stamp would have written; the actual
-  // arrival tick is rewritten by on_deliver, books are rebuilt at merge.
-  m.sent_at = now;
-  m.deliver_at = now + 1;
-  const std::uint64_t segment_id = tls_binding.owner == this ? tls_binding.index + 1
-                                                             : segments_.size();
-  m.seq = (segment_id << kSeqSegmentShift) | seg.next_seq++;
-  SegmentRecord r;
-  r.type = SegmentRecord::Type::kEvent;
-  r.event = {now, sim::LoggedEvent::Kind::kSend, m.from, m.to, m.layer, m.seq,
-             payload_tag(m.payload)};
-  push_locked(seg, r, key);
-  if (lost) {
-    r.event.kind = partitioned ? sim::LoggedEvent::Kind::kPartitionLoss
-                               : sim::LoggedEvent::Kind::kLoss;
-    push_locked(seg, r, key);
-  }
-  seg.watermark.store(key, std::memory_order_release);
-}
-
-void Recorder::stream_duplicate(sim::Message& m, sim::Time now) {
-  RecorderSegment& seg = segment_for_thread();
-  const std::int64_t raw = now_key();
-  std::lock_guard<std::mutex> lock(seg.mu);
-  const std::int64_t key = clamp_key_locked(seg, raw);
-  m.sent_at = now;
-  m.deliver_at = now + 1;
-  const std::uint64_t segment_id = tls_binding.owner == this ? tls_binding.index + 1
-                                                             : segments_.size();
-  m.seq = (segment_id << kSeqSegmentShift) | seg.next_seq++;
-  SegmentRecord r;
-  r.type = SegmentRecord::Type::kEvent;
-  r.event = {now, sim::LoggedEvent::Kind::kDuplicate, m.from, m.to, m.layer, m.seq,
-             payload_tag(m.payload)};
-  push_locked(seg, r, key);
-  seg.watermark.store(key, std::memory_order_release);
-}
-
-std::uint64_t Recorder::stream_logical_send(sim::ProcessId from, sim::ProcessId to,
-                                            sim::PayloadTag tag, sim::MsgLayer layer,
-                                            sim::Time now) {
-  RecorderSegment& seg = segment_for_thread();
-  const std::int64_t raw = now_key();
-  std::lock_guard<std::mutex> lock(seg.mu);
-  const std::int64_t key = clamp_key_locked(seg, raw);
-  const std::uint64_t segment_id = tls_binding.owner == this ? tls_binding.index + 1
-                                                             : segments_.size();
-  const std::uint64_t seq = (segment_id << kSeqSegmentShift) | seg.next_seq++;
-  SegmentRecord r;
-  r.type = SegmentRecord::Type::kEvent;
-  r.event = {now, sim::LoggedEvent::Kind::kSend, from, to, layer, seq, tag};
-  push_locked(seg, r, key);
   seg.watermark.store(key, std::memory_order_release);
   return seq;
-}
-
-void Recorder::stream_event(const sim::LoggedEvent& ev) {
-  RecorderSegment& seg = segment_for_thread();
-  const std::int64_t raw = now_key();
-  std::lock_guard<std::mutex> lock(seg.mu);
-  const std::int64_t key = clamp_key_locked(seg, raw);
-  SegmentRecord r;
-  r.type = SegmentRecord::Type::kEvent;
-  r.event = ev;
-  push_locked(seg, r, key);
-  seg.watermark.store(key, std::memory_order_release);
-}
-
-void Recorder::stream_trace(sim::ProcessId p, sim::Time now, dining::TraceEventKind kind,
-                            sim::ProcessId peer) {
-  RecorderSegment& seg = segment_for_thread();
-  const std::int64_t raw = now_key();
-  std::lock_guard<std::mutex> lock(seg.mu);
-  const std::int64_t key = clamp_key_locked(seg, raw);
-  SegmentRecord r;
-  r.type = SegmentRecord::Type::kTrace;
-  r.trace = dining::TraceEvent{now, p, kind, peer};
-  push_locked(seg, r, key);
-  seg.watermark.store(key, std::memory_order_release);
 }
 
 // -- collector --------------------------------------------------------------
@@ -319,7 +239,7 @@ void Recorder::apply_record(const SegmentRecord& r, std::uint64_t& events,
     // Hybrid stamp, final clamp: merge order is by nanosecond key; the
     // sub-tick skew between a producer's tick reading and its key reading
     // can leave tick stamps locally out of order, so the merged stream
-    // re-applies the same monotonic clamp direct mode used.
+    // clamps its tick stamps monotonic.
     if (ev.at < merged_tick_) {
       ev.at = merged_tick_;
     } else {

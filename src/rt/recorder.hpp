@@ -6,46 +6,27 @@
 /// ordered by construction. The rt engine has no such luxury — handlers
 /// run concurrently on many threads — so every observable transition
 /// (send, delivery, timer, crash, scheduling event) must be funneled into
-/// one total order. The Recorder does that in one of two modes: the
-/// runtime always streams (below); direct mode is the netproc node
-/// engine's path and what a bare Recorder does.
+/// one total order: the *linearization* of the concurrent execution that
+/// the paper's properties quantify over.
 ///
-/// ## Direct mode
+/// ## Segmented streaming (`begin_stream` / `end_stream`)
 ///
-/// Every hook takes one global mutex, clamps its timestamp monotonic, and
-/// applies the transition to the books on the spot. That buys three
-/// things at once:
+/// Each worker thread appends to its OWN `RecorderSegment` — an
+/// uncontended lock, no global serialization on the hot path — and a
+/// collector thread periodically merges the segments' key-ordered
+/// prefixes (bounded by the min worker watermark; see segment.hpp for the
+/// hybrid-timestamp and watermark protocol) into the books: EventLog
+/// append, EventSink, `log_io::apply_event` network bookkeeping, trace
+/// record. That buys three things at once:
 ///
-///  1. a totally ordered `dining::Trace` + `sim::EventLog` stream — the
-///     *linearization* of the concurrent execution that the paper's
-///     properties quantify over;
-///  2. the unmodified `sim::Network` books (stamp/delivered), so the
-///     post-hoc checkers and `MonitorHub::agreement_failures` consume rt
-///     runs byte-for-byte like sim runs;
-///  3. a safe place to host the PR-4 online monitors: the hub's three
-///     observer hats (EventSink, NetworkWatch, TraceObserver) are all
-///     invoked with the recorder mutex held, so the monitors need no
-///     locking of their own.
-///
-/// Direct mode is what the netproc node engine and the `LogWriter` need
-/// (one synchronous disk frame per record) and what bare Recorder users
-/// get without any wiring.
-///
-/// ## Segmented streaming mode (`begin_stream` / `end_stream`)
-///
-/// One global mutex per observable event caps the sharded executor: at
-/// 10⁵–10⁶ actors every worker serializes on it (ROADMAP item 2). In
-/// streaming mode each worker thread appends to its OWN
-/// `RecorderSegment` — an uncontended lock, no global serialization on
-/// the hot path — and a collector thread periodically merges the
-/// segments' key-ordered prefixes (bounded by the min worker watermark;
-/// see segment.hpp for the hybrid-timestamp and watermark protocol) into
-/// the very same books: EventLog append, EventSink, `log_io::apply_event`
-/// network bookkeeping, trace record. The merged stream is a
-/// linearization — identical in shape to direct mode's; the rt_stream
-/// tests run the full verdict battery at every shard count — and the
-/// monitors still run single-threaded (only the collector touches them),
-/// so they still need no locking.
+///  1. a totally ordered `dining::Trace` + `sim::EventLog` stream;
+///  2. the unmodified `sim::Network` books, so the post-hoc checkers and
+///     `MonitorHub::agreement_failures` consume rt runs byte-for-byte like
+///     sim runs;
+///  3. a safe place to host the online monitors: the hub's three observer
+///     hats (EventSink, NetworkWatch, TraceObserver) are only ever invoked
+///     by the collector (or `end_stream`'s final drain), so the monitors
+///     need no locking of their own.
 ///
 /// The merge runs *windowed*: every `window_ns` the collector drains and
 /// merges, so monitors see events with bounded lag and bounded buffering.
@@ -55,9 +36,12 @@
 /// replay/agreement for that window, which is why the default cap is 0
 /// (unbounded buffering, typically a few windows' worth).
 ///
-/// Mid-run hooks in streaming mode must come from threads bound via
-/// `bind_segment` (the runtime binds each worker); unbound threads fall
-/// into a shared "external" segment that is safe but contended.
+/// Every hook must run inside `begin_stream` … `end_stream` (the runtime
+/// opens the stream before its workers start and closes it after they
+/// join); calling one outside a stream breaks the contract and asserts.
+/// Mid-run hooks must come from threads bound via `bind_segment` (the
+/// runtime binds each worker); unbound threads fall into a shared
+/// "external" segment that is safe but contended.
 #pragma once
 
 #include <atomic>
@@ -65,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -99,7 +84,7 @@ class Recorder final : public dining::TraceSink {
   /// Attach a trace observer (the MonitorHub's TraceObserver hat).
   void set_trace_observer(dining::TraceObserver* obs) { trace_.set_observer(obs); }
 
-  // -- streaming mode ----------------------------------------------------
+  // -- the stream ----------------------------------------------------------
 
   struct StreamOptions {
     /// Worker segments (one per shard); a shared external segment for
@@ -114,14 +99,14 @@ class Recorder final : public dining::TraceSink {
     std::size_t pending_cap = 0;
   };
 
-  /// Switch to segmented streaming: allocate segments, launch the
-  /// collector. Call before the producing threads start (the runtime
-  /// calls it just before launching workers); events recorded in direct
-  /// mode beforehand stay ahead of the merged stream.
+  /// Open a stream: allocate segments, launch the collector. Call before
+  /// the producing threads start (the runtime calls it just before
+  /// launching workers). The books of an earlier stream on this Recorder
+  /// stay ahead of the new one.
   void begin_stream(const StreamOptions& opts);
   /// Join the collector and drain every segment (no watermark horizon:
   /// all producers must have quiesced — the runtime calls this after
-  /// joining its workers). Falls back to direct mode. Idempotent.
+  /// joining its workers). Idempotent.
   void end_stream();
   /// Bind the calling thread to segment `index` for the current stream.
   void bind_segment(std::size_t index);
@@ -143,36 +128,24 @@ class Recorder final : public dining::TraceSink {
   [[nodiscard]] const sim::Network& network() const { return net_; }
   void set_end_time(sim::Time t) { trace_.set_end_time(t); }
 
-  // -- runtime hooks (any thread) ----------------------------------------
+  // -- runtime hooks (any thread, inside a stream) -----------------------
 
   /// A handler (or the driver) handed a message to the transport: stamp it
-  /// (seq, books, FIFO horizon — latency 1 is nominal; the *actual*
-  /// arrival tick is written by on_deliver) and emit kSend. With `lost`
-  /// the fault layer dropped it at the wire: the books are settled
-  /// immediately and a kLoss (or, when the loss came from a partition /
-  /// edge cut, kPartitionLoss) event follows the kSend, mirroring the
-  /// simulator's loss accounting (stamped, never handled). In streaming
-  /// mode the books are deferred to the merge; the seq comes from the
-  /// segment (globally unique via the segment id in the high bits) and
-  /// the target-crashed flag is re-derived from merged kCrash order.
-  void on_send(sim::Message& m, sim::Time now, bool target_crashed, bool lost,
-               bool partitioned = false) {
-    if (streaming()) {
-      stream_send(m, now, lost, partitioned);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    net_.stamp(m, t, 1, target_crashed);
-    emit({t, sim::LoggedEvent::Kind::kSend, m.from, m.to, m.layer, m.seq,
-          payload_tag(m.payload)});
-    if (lost) {
-      net_.delivered(m);
-      emit({t,
-            partitioned ? sim::LoggedEvent::Kind::kPartitionLoss
-                        : sim::LoggedEvent::Kind::kLoss,
-            m.from, m.to, m.layer, m.seq, payload_tag(m.payload)});
-    }
+  /// (seq, sent_at; deliver_at = now + 1 is nominal — the *actual* arrival
+  /// tick is written by on_deliver) and emit kSend. With `lost` the fault
+  /// layer dropped it at the wire: a kLoss (or, when the loss came from a
+  /// partition / edge cut, kPartitionLoss) event follows the kSend,
+  /// mirroring the simulator's loss accounting (stamped, never handled).
+  /// The seq comes from the segment (globally unique via the segment id in
+  /// the high bits); whether the target was already crashed is re-derived
+  /// at the merge from the merged kCrash order.
+  void on_send(sim::Message& m, sim::Time now, bool lost, bool partitioned = false) {
+    m.sent_at = now;
+    m.deliver_at = now + 1;
+    const sim::LoggedEvent::Kind loss = partitioned ? sim::LoggedEvent::Kind::kPartitionLoss
+                                                    : sim::LoggedEvent::Kind::kLoss;
+    m.seq = append(event(now, sim::LoggedEvent::Kind::kSend, m), /*numbered=*/true,
+                   lost ? std::optional(loss) : std::nullopt);
   }
 
   /// A stamped message could not be enqueued (full mailbox under an ARQ
@@ -181,208 +154,141 @@ class Recorder final : public dining::TraceSink {
   /// design — either way a dropped-at-the-door message is semantically a
   /// lost datagram.
   void on_congestion_loss(const sim::Message& m, sim::Time now) {
-    if (streaming()) {
-      stream_event({now, sim::LoggedEvent::Kind::kLoss, m.from, m.to, m.layer, m.seq,
-                    payload_tag(m.payload)});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    net_.delivered(m);
-    emit({t, sim::LoggedEvent::Kind::kLoss, m.from, m.to, m.layer, m.seq,
-          payload_tag(m.payload)});
+    append(event(now, sim::LoggedEvent::Kind::kLoss, m));
   }
 
   /// The fault layer injected a duplicate copy: stamp it as its own
   /// in-flight message and emit kDuplicate (the fork-uniqueness monitor
   /// counts duplicates as sends, exactly as under the simulator).
-  void on_duplicate(sim::Message& m, sim::Time now, bool target_crashed) {
-    if (streaming()) {
-      stream_duplicate(m, now);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    net_.stamp(m, t, 1, target_crashed);
-    emit({t, sim::LoggedEvent::Kind::kDuplicate, m.from, m.to, m.layer, m.seq,
-          payload_tag(m.payload)});
+  void on_duplicate(sim::Message& m, sim::Time now) {
+    m.sent_at = now;
+    m.deliver_at = now + 1;
+    m.seq = append(event(now, sim::LoggedEvent::Kind::kDuplicate, m), /*numbered=*/true);
   }
 
   /// The holder of the target's dispatch claim popped `m` from its
-  /// mailbox. Settles the books and
-  /// rewrites `m.deliver_at` to the actual arrival tick (the stamp-time
-  /// value was a placeholder) so handlers reading it see the truth. With
-  /// `target_crashed` the message lands on a corpse: kDrop, never handled.
+  /// mailbox. Rewrites `m.deliver_at` to the actual arrival tick (the
+  /// stamp-time value was a placeholder) so handlers reading it see the
+  /// truth. With `target_crashed` the message lands on a corpse: kDrop,
+  /// never handled.
   void on_deliver(sim::Message& m, sim::Time now, bool target_crashed) {
-    if (streaming()) {
-      m.deliver_at = now;
-      stream_event({now,
-                    target_crashed ? sim::LoggedEvent::Kind::kDrop
-                                   : sim::LoggedEvent::Kind::kDeliver,
-                    m.from, m.to, m.layer, m.seq, payload_tag(m.payload)});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    m.deliver_at = t;
-    net_.delivered(m);
-    emit({t,
-          target_crashed ? sim::LoggedEvent::Kind::kDrop : sim::LoggedEvent::Kind::kDeliver,
-          m.from, m.to, m.layer, m.seq, payload_tag(m.payload)});
+    m.deliver_at = now;
+    append(event(now,
+                 target_crashed ? sim::LoggedEvent::Kind::kDrop
+                                : sim::LoggedEvent::Kind::kDeliver,
+                 m));
   }
 
-  // -- logical-layer hooks (ARQ engines: rt::RtArq, netproc) --------------
+  // -- logical-layer hooks (rt::RtArq) -----------------------------------
   //
-  // When an ARQ shim carries a layer, its *logical* messages are booked
-  // through Network::logical_* — the same split the simulator's transport
-  // mode uses — while the physical kTransport segments go through
-  // on_send/on_deliver above. The §7 channel-bound and quiescence
-  // monitors read the logical books; retransmit overhead shows up as the
-  // gap between the kTransport and logical streams.
+  // When an ARQ shim carries a layer, its *logical* messages are recorded
+  // on their own layer — the split the simulator's transport mode uses —
+  // while the physical kTransport segments go through on_send/on_deliver
+  // above. The §7 channel-bound and quiescence monitors read the logical
+  // books; retransmit overhead shows up as the gap between the kTransport
+  // and logical streams.
 
-  /// The ARQ accepted one logical message. Books it (pair books, watch,
-  /// high-water) and emits kSend on its own layer; returns the logical
-  /// sequence number the books assigned (in streaming mode: the
-  /// segment-assigned globally unique seq).
-  std::uint64_t on_logical_send(sim::ProcessId from, sim::ProcessId to,
-                                sim::PayloadTag tag, sim::MsgLayer layer, sim::Time now,
-                                bool target_crashed) {
-    if (streaming()) return stream_logical_send(from, to, tag, layer, now);
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    const std::uint64_t seq = net_.logical_sent(from, to, layer, t, target_crashed);
-    emit({t, sim::LoggedEvent::Kind::kSend, from, to, layer, seq, tag});
-    return seq;
+  /// The ARQ accepted one logical message: emits kSend on its own layer
+  /// and returns the segment-assigned, globally unique seq that the
+  /// matching delivery or drop must carry.
+  std::uint64_t on_logical_send(sim::ProcessId from, sim::ProcessId to, sim::PayloadTag tag,
+                                sim::MsgLayer layer, sim::Time now) {
+    return append(event(now, sim::LoggedEvent::Kind::kSend, from, to, layer, 0, tag),
+                  /*numbered=*/true);
   }
 
   /// The ARQ released one logical message, in order, to the receiving
-  /// actor. Returns the delivery tick for the dispatched message's
-  /// `deliver_at`.
-  sim::Time on_logical_deliver(sim::ProcessId from, sim::ProcessId to,
-                               sim::PayloadTag tag, sim::MsgLayer layer,
-                               std::uint64_t logical_seq, sim::Time now) {
-    if (streaming()) {
-      stream_event({now, sim::LoggedEvent::Kind::kDeliver, from, to, layer, logical_seq, tag});
-      return now;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    net_.logical_delivered(from, to, layer);
-    emit({t, sim::LoggedEvent::Kind::kDeliver, from, to, layer, logical_seq, tag});
-    return t;
+  /// actor.
+  void on_logical_deliver(sim::ProcessId from, sim::ProcessId to, sim::PayloadTag tag,
+                          sim::MsgLayer layer, std::uint64_t logical_seq, sim::Time now) {
+    append(event(now, sim::LoggedEvent::Kind::kDeliver, from, to, layer, logical_seq, tag));
   }
 
   /// The ARQ wrote off one logical message to a dead/unreachable peer.
   void on_logical_drop(sim::ProcessId from, sim::ProcessId to, sim::PayloadTag tag,
                        sim::MsgLayer layer, std::uint64_t logical_seq, sim::Time now) {
-    if (streaming()) {
-      stream_event({now, sim::LoggedEvent::Kind::kDrop, from, to, layer, logical_seq, tag});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    const sim::Time t = clamp(now);
-    net_.logical_dropped(from, to, layer);
-    emit({t, sim::LoggedEvent::Kind::kDrop, from, to, layer, logical_seq, tag});
+    append(event(now, sim::LoggedEvent::Kind::kDrop, from, to, layer, logical_seq, tag));
   }
 
   /// A live actor's timer fired.
   void on_timer(sim::ProcessId owner, sim::Time now) {
-    if (streaming()) {
-      stream_event({now, sim::LoggedEvent::Kind::kTimer, owner, sim::kNoProcess,
-                    sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    emit({clamp(now), sim::LoggedEvent::Kind::kTimer, owner, sim::kNoProcess,
-          sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
+    append(event(now, sim::LoggedEvent::Kind::kTimer, owner));
   }
 
   /// Process `p` crashed (its worker is about to stop dispatching).
   void on_crash(sim::ProcessId p, sim::Time now) {
-    if (streaming()) {
-      stream_event({now, sim::LoggedEvent::Kind::kCrash, p, sim::kNoProcess,
-                    sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    emit({clamp(now), sim::LoggedEvent::Kind::kCrash, p, sim::kNoProcess,
-          sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
+    append(event(now, sim::LoggedEvent::Kind::kCrash, p));
   }
 
   /// Process `p` rejoined after a crash (dispatching resumes).
   void on_recover(sim::ProcessId p, sim::Time now) {
-    if (streaming()) {
-      stream_event({now, sim::LoggedEvent::Kind::kRecover, p, sim::kNoProcess,
-                    sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    emit({clamp(now), sim::LoggedEvent::Kind::kRecover, p, sim::kNoProcess,
-          sim::MsgLayer::kOther, 0, sim::kNoPayloadTag});
+    append(event(now, sim::LoggedEvent::Kind::kRecover, p));
   }
 
   /// A scheduling event (hungry / eating / forks / crash / churn) from a
-  /// diner or the driver. Appends to the trace, which fans out to the
+  /// diner or the driver; merged into the trace, which fans out to the
   /// observer. `peer` is the other endpoint for edge-churn events.
   void on_trace(sim::ProcessId p, sim::Time now, dining::TraceEventKind kind,
                 sim::ProcessId peer = sim::kNoProcess) {
-    if (streaming()) {
-      stream_trace(p, now, kind, peer);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    trace_.record(clamp(now), p, kind, peer);
+    SegmentRecord r;
+    r.type = SegmentRecord::Type::kTrace;
+    r.trace = dining::TraceEvent{now, p, kind, peer};
+    append(r);
   }
 
-  /// The environment's sink (dining::Harness on rt and proc): `on_trace`.
+  /// The environment's sink (dining::Harness on rt): `on_trace`.
   void record(sim::Time at, sim::ProcessId p, dining::TraceEventKind kind,
               sim::ProcessId peer) override {
     on_trace(p, at, kind, peer);
   }
 
  private:
-  /// Monotonic clamp: the recorder's time never goes backwards even when
-  /// threads reach the mutex out of clock order (direct mode).
-  sim::Time clamp(sim::Time now) {
-    if (now > last_) last_ = now;
-    return last_;
+  /// An event record. Messages carry their seq and payload tag; process
+  /// events (timer, crash, recover) name only `from`.
+  static SegmentRecord event(sim::Time at, sim::LoggedEvent::Kind kind, sim::ProcessId from,
+                             sim::ProcessId to = sim::kNoProcess,
+                             sim::MsgLayer layer = sim::MsgLayer::kOther,
+                             std::uint64_t seq = 0, sim::PayloadTag tag = sim::kNoPayloadTag) {
+    SegmentRecord r;
+    r.type = SegmentRecord::Type::kEvent;
+    r.event = {at, kind, from, to, layer, seq, tag};
+    return r;
   }
+  static SegmentRecord event(sim::Time at, sim::LoggedEvent::Kind kind, const sim::Message& m) {
+    return event(at, kind, m.from, m.to, m.layer, m.seq, sim::payload_tag(m.payload));
+  }
+
+  /// The one producer path (recorder.cpp): find the calling thread's
+  /// segment, read the key clock, clamp the key under the segment lock,
+  /// number the record when it is a send (`numbered`: the segment's next
+  /// seq, globally unique via the segment id in the high bits), push it —
+  /// plus, with `then`, a second event of that kind with the same stamp,
+  /// key and seq (a lost send's loss) — and publish the watermark. Returns
+  /// the record's seq.
+  std::uint64_t append(const SegmentRecord& r, bool numbered = false,
+                       std::optional<sim::LoggedEvent::Kind> then = std::nullopt);
 
   void emit(const sim::LoggedEvent& ev) {
     if (log_ != nullptr) log_->append(ev);
     if (sink_ != nullptr) sink_->on_event(ev);
   }
 
-  // Streaming producers (recorder.cpp).
-  RecorderSegment& segment_for_thread();
-  void stream_send(sim::Message& m, sim::Time now, bool lost, bool partitioned);
-  void stream_duplicate(sim::Message& m, sim::Time now);
-  std::uint64_t stream_logical_send(sim::ProcessId from, sim::ProcessId to,
-                                    sim::PayloadTag tag, sim::MsgLayer layer,
-                                    sim::Time now);
-  void stream_event(const sim::LoggedEvent& ev);
-  void stream_trace(sim::ProcessId p, sim::Time now, dining::TraceEventKind kind,
-                    sim::ProcessId peer);
-  /// Clamp a raw steady_clock key monotonic within `seg` (and up to the
-  /// collector's floor) under `seg.mu`; advances `seg.last_key`.
-  std::int64_t clamp_key_locked(RecorderSegment& seg, std::int64_t raw);
-  /// Push under `seg.mu`: stamps the key, respects shedding, counts drops.
-  void push_locked(RecorderSegment& seg, SegmentRecord& rec, std::int64_t key);
+  /// Index of the calling thread's segment: its bound worker segment in
+  /// this stream, else the external catch-all (the last one).
+  std::size_t segment_index() const;
 
   // Collector (recorder.cpp).
   void collector_loop();
   void collect_pass(bool final_drain);
   void apply_record(const SegmentRecord& r, std::uint64_t& events, std::uint64_t& traces);
 
-  // -- direct mode -------------------------------------------------------
-  std::mutex mu_;
-  sim::Time last_ = 0;
+  // -- the books (written by the collector, read after the run) ----------
   sim::Network net_;
   dining::Trace trace_;
   sim::EventLog* log_ = nullptr;
   sim::EventSink* sink_ = nullptr;
 
-  // -- streaming mode ----------------------------------------------------
+  // -- the stream ----------------------------------------------------------
   std::atomic<bool> streaming_{false};
   StreamOptions sopt_{};
   std::uint64_t stream_gen_ = 0;  ///< invalidates stale thread bindings
@@ -400,7 +306,9 @@ class Recorder final : public dining::TraceSink {
   // drain, after the join — touches these).
   std::vector<SegmentPool> pools_;
   std::set<sim::ProcessId> crashed_seen_;
-  sim::Time merged_tick_ = 0;  ///< monotonic clamp on merged tick stamps
+  /// Monotonic clamp on merged tick stamps; a later stream on the same
+  /// Recorder continues it.
+  sim::Time merged_tick_ = 0;
 
   mutable std::mutex stats_mu_;
   StreamStats stats_;

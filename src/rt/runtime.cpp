@@ -227,7 +227,6 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
   if (from >= 0 && crashed(from)) return;
 
   const auto ti = static_cast<std::uint32_t>(to);
-  const bool to_crashed = cells_[ti]->crashed.load(std::memory_order_acquire);
 
   bool drop = false;
   bool dup = false;
@@ -247,7 +246,7 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
   m.to = to;
   m.layer = layer;
   m.payload = payload;
-  rec_.on_send(m, now(), to_crashed, drop);
+  rec_.on_send(m, now(), drop);
   if (drop) return;
 
   if (!enqueue(ti, m)) return;
@@ -258,7 +257,7 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
     d.to = to;
     d.layer = layer;
     d.payload = payload;
-    rec_.on_duplicate(d, now(), to_crashed);
+    rec_.on_duplicate(d, now());
     enqueue(ti, d);
   }
 }
@@ -682,8 +681,7 @@ void Runtime::worker_loop(std::size_t shard_index) {
   // segment; the per-iteration heartbeat below keeps the merge horizon
   // advancing even when the shard is idle (a parked worker re-loops at
   // least once per park cap).
-  const bool streaming = rec_.streaming();
-  if (streaming) rec_.bind_segment(shard_index);
+  rec_.bind_segment(shard_index);
 
   // Victim-scan window: probing EVERY other shard per idle round would be
   // O(shards²) across the fleet — ruinous at shards == n (the
@@ -697,7 +695,7 @@ void Runtime::worker_loop(std::size_t shard_index) {
   std::size_t scan_offset = 0;
 
   while (!stop_.load(std::memory_order_acquire)) {
-    if (streaming) rec_.heartbeat();
+    rec_.heartbeat();
     drain_due_timers(s, /*try_only=*/false);
     if (try_run_from(s, c, /*stolen=*/false)) continue;
 

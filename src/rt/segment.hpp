@@ -2,9 +2,9 @@
 /// Per-shard recorder segments: the building block of the rt engine's
 /// streaming observability pipeline (see recorder.hpp for the protocol).
 ///
-/// In segmented mode every worker thread appends its observable
-/// transitions to its OWN segment — an uncontended mutex + vector, never
-/// the one global recorder mutex — and a collector thread periodically
+/// Every worker thread appends its observable transitions to its OWN
+/// segment — an uncontended mutex + vector, never one lock shared by all
+/// workers — and a collector thread periodically
 /// swaps the buffers out and k-way merges them into the single totally
 /// ordered stream the monitors, checkers and exporters consume.
 ///
@@ -22,8 +22,7 @@
 /// broken by kind class (sends before effects), so the merged stream is
 /// always well-formed. Residual sub-tick skew between the caller's tick
 /// reading and the recorder's key reading is absorbed by a final
-/// monotonic clamp on the merged tick stamps — the same clamp the
-/// single-mutex recorder applied, moved to the merge point.
+/// monotonic clamp on the merged tick stamps at the merge point.
 ///
 /// ## Watermarks
 ///

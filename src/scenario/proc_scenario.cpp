@@ -17,6 +17,13 @@ namespace {
 
 using ekbd::netproc::NodeEngine;
 
+/// Nanoseconds per Config tick: the Config speaks `rt_tick_ns`-sized
+/// ticks, the socket engine nanosecond ticks (so merged cross-node stamps
+/// linearize).
+std::int64_t tick_scale(const Config& cfg) {
+  return static_cast<std::int64_t>(cfg.rt_tick_ns == 0 ? 1 : cfg.rt_tick_ns);
+}
+
 /// Divide every timestamp by `s` (ns ticks → Config ticks). Monotone, so
 /// the merged linearization's order is preserved; ties keep merge order.
 rt::Recording rescale(const rt::Recording& rec, std::int64_t s) {
@@ -43,9 +50,7 @@ void ProcScenario::run() {
   assert(!ran_ && "run() may be called once");
   ran_ = true;
 
-  // Scale: the Config speaks `rt_tick_ns`-sized ticks, the socket engine
-  // nanosecond ticks (so merged cross-node stamps linearize).
-  const auto scale = static_cast<std::int64_t>(cfg_.rt_tick_ns == 0 ? 1 : cfg_.rt_tick_ns);
+  const std::int64_t scale = tick_scale(cfg_);
 
   ::mkdir(log_dir_.c_str(), 0755);
 
@@ -83,15 +88,15 @@ void ProcScenario::run() {
 
   const ekbd::netproc::NodeSetup setup = [this, node_cfg](NodeEngine& eng) {
     // The node's one diner under the shared environment, recording into
-    // the node's recorder.
+    // the node's log.
     DetectorSet detectors = make_detector(
         node_cfg, [&eng] { return std::make_unique<ekbd::netproc::CrashNoticeDetector>(eng); });
     std::unique_ptr<ekbd::dining::Diner> d =
         make_diner(node_cfg, eng.config().self, graph_, colors_, *detectors.owned);
     ekbd::dining::Diner* diner = d.get();
     eng.set_actor(std::move(d));
-    auto harness = std::make_shared<ekbd::dining::Harness>(eng, eng.recorder(), node_cfg.seed,
-                                                           graph_, node_cfg.harness);
+    auto harness = std::make_shared<ekbd::dining::Harness>(
+        eng, eng.log_writer(), node_cfg.seed, graph_, node_cfg.harness);
     harness->manage(diner);
     install_detector_modules(node_cfg, detectors, *harness);
     if (node_cfg.net_mode != NetMode::kIdeal) {
@@ -119,11 +124,15 @@ void ProcScenario::run() {
 }
 
 Books ProcScenario::books() const {
+  // The crashes as the orchestrator observed them (a node dies when it is
+  // reaped, not at its planned tick), scaled to Config ticks like the
+  // merged logs.
   const auto crash_times = [this] {
+    const std::int64_t scale = tick_scale(cfg_);
     std::vector<Time> times(graph_.size(), -1);
-    for (const auto& [p, at] : cfg_.crashes) {
+    for (const auto& [p, at] : result_.crashes) {
       if (p >= 0 && static_cast<std::size_t>(p) < times.size()) {
-        times[static_cast<std::size_t>(p)] = at;
+        times[static_cast<std::size_t>(p)] = at / scale;
       }
     }
     return times;

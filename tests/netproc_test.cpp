@@ -1,8 +1,8 @@
 // Tests for the multi-process socket engine (src/netproc) and the wire
 // codec underneath it (sim/codec): fuzzed round-trips and hostile-frame
-// rejection, loopback UDP smoke, orchestrated clusters with real SIGKILL
-// crashes and runtime partitions, wedged-node supervision, and the serial
-// proc sweep. All sockets bind ephemeral loopback ports (port 0), so the
+// rejection, loopback UDP smoke, log shipping (write, tear, load, merge),
+// orchestrated clusters with real SIGKILL crashes and runtime partitions,
+// wedged-node supervision, and the serial proc sweep. All sockets bind ephemeral loopback ports (port 0), so the
 // suite is safe under `ctest -j`.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -11,14 +11,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "netproc/cluster.hpp"
 #include "netproc/control.hpp"
 #include "netproc/node.hpp"
 #include "netproc/udp.hpp"
+#include "rt/log_io.hpp"
 #include "scenario/sweep.hpp"
 #include "sim/codec.hpp"
 #include "sim/rng.hpp"
@@ -318,6 +324,179 @@ TEST(Udp, LoopbackFrameExchangeOnEphemeralPorts) {
   EXPECT_NE(out.as<core::Ping>(), nullptr);
 }
 
+// ----------------------------------------------------------- log shipping
+
+/// A per-test scratch file under gtest's temp dir, unique per process so
+/// parallel ctest runs never share one.
+std::string temp_log(const std::string& name) {
+  return ::testing::TempDir() + "ekbd_logship_" + std::to_string(::getpid()) + "_" + name;
+}
+
+/// One trace record through the writer.
+void write_trace(rt::LogWriter& w, const dining::TraceEvent& ev) {
+  w.record(ev.at, ev.process, ev.kind, ev.peer);
+}
+
+void expect_same_event(const LoggedEvent& a, const LoggedEvent& b) {
+  EXPECT_EQ(a.at, b.at);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.from, b.from);
+  EXPECT_EQ(a.to, b.to);
+  EXPECT_EQ(a.layer, b.layer);
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+void expect_same_trace(const dining::TraceEvent& a, const dining::TraceEvent& b) {
+  EXPECT_EQ(a.at, b.at);
+  EXPECT_EQ(a.process, b.process);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.peer, b.peer);
+}
+
+// Every record the writer frames comes back field for field, in order,
+// with the clean-shutdown trailer.
+TEST(LogShipping, EventsTraceAndEndTimeRoundTripExactly) {
+  const std::string path = temp_log("roundtrip.log");
+  const std::vector<LoggedEvent> events = {
+      {7, LoggedEvent::Kind::kSend, 0, 1, MsgLayer::kDining, 5, payload_tag(core::Fork{})},
+      {8, LoggedEvent::Kind::kDeliver, 0, 1, MsgLayer::kDining, 5,
+       payload_tag(core::Fork{})},
+      {9, LoggedEvent::Kind::kPartitionLoss, 2, 0, MsgLayer::kTransport,
+       (std::uint64_t{3} << 40) | 17, payload_tag(net::AckSegment{})},
+      {9, LoggedEvent::Kind::kTimer, 1, kNoProcess, MsgLayer::kOther, 0, kNoPayloadTag},
+      {1'000'000'123, LoggedEvent::Kind::kDuplicate, 1, 2, MsgLayer::kDetector, 99,
+       payload_tag(fd::Heartbeat{})},
+  };
+  const std::vector<dining::TraceEvent> trace = {
+      {7, 0, dining::TraceEventKind::kBecameHungry, kNoProcess},
+      {8, 1, dining::TraceEventKind::kEdgeAdded, 2},
+      {10, 2, dining::TraceEventKind::kEdgeRemoved, 0},
+  };
+  {
+    rt::LogWriter w(path);
+    ASSERT_TRUE(w.ok());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      w.on_event(events[i]);
+      if (i < trace.size()) write_trace(w, trace[i]);
+    }
+    w.append_end_time(2'000'000'000);
+    EXPECT_TRUE(w.ok());
+  }
+
+  const rt::Recording rec = rt::load_recording(path);
+  EXPECT_FALSE(rec.truncated);
+  EXPECT_EQ(rec.end_time, 2'000'000'000);
+  ASSERT_EQ(rec.events.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) expect_same_event(rec.events[i], events[i]);
+  ASSERT_EQ(rec.trace.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) expect_same_trace(rec.trace[i], trace[i]);
+  (void)std::remove(path.c_str());
+}
+
+// A node SIGKILLed mid-write leaves a torn last frame: the loader keeps
+// every whole frame before the tear and says the log was cut.
+TEST(LogShipping, FileCutMidFrameLoadsThePrefixAndIsTruncated) {
+  const std::string path = temp_log("torn.log");
+  std::vector<std::uintmax_t> ends;  // file size after each record (flushed per record)
+  {
+    rt::LogWriter w(path);
+    ASSERT_TRUE(w.ok());
+    for (int i = 0; i < 6; ++i) {
+      w.on_event({i, LoggedEvent::Kind::kSend, 0, 1, MsgLayer::kDining,
+                  static_cast<std::uint64_t>(i), payload_tag(core::Ping{})});
+      ends.push_back(std::filesystem::file_size(path));
+      write_trace(w, {i, 0, dining::TraceEventKind::kBecameHungry, kNoProcess});
+      ends.push_back(std::filesystem::file_size(path));
+    }
+  }
+  // Cut halfway into the 8th record: records alternate event, trace, so
+  // the 7 whole records before the tear are 4 events and 3 traces.
+  const std::uintmax_t cut = ends[6] + (ends[7] - ends[6]) / 2;
+  std::filesystem::resize_file(path, cut);
+
+  const rt::Recording rec = rt::load_recording(path);
+  EXPECT_TRUE(rec.truncated);
+  EXPECT_EQ(rec.end_time, -1);
+  ASSERT_EQ(rec.events.size(), 4u);
+  ASSERT_EQ(rec.trace.size(), 3u);
+  for (std::size_t i = 0; i < rec.events.size(); ++i) {
+    EXPECT_EQ(rec.events[i].at, static_cast<Time>(i));
+    EXPECT_EQ(rec.events[i].seq, i);
+  }
+  for (std::size_t i = 0; i < rec.trace.size(); ++i) {
+    EXPECT_EQ(rec.trace[i].at, static_cast<Time>(i));
+  }
+  (void)std::remove(path.c_str());
+}
+
+TEST(LogShipping, MissingFileLoadsEmptyAndTruncated) {
+  const rt::Recording rec = rt::load_recording(temp_log("never_written.log"));
+  EXPECT_TRUE(rec.truncated);
+  EXPECT_TRUE(rec.events.empty());
+  EXPECT_TRUE(rec.trace.empty());
+  EXPECT_EQ(rec.end_time, -1);
+}
+
+// The orchestrator's crash times become kCrash events and kCrashed trace
+// records; the merge sorts by time and, among equal stamps, keeps each
+// node's own order (and puts the obituary after the node's last records).
+TEST(LogShipping, MergeInsertsCrashesSortsByTimeAndIsStable) {
+  const auto ev = [](Time at, LoggedEvent::Kind kind, ProcessId from, ProcessId to,
+                     std::uint64_t seq) {
+    return LoggedEvent{at, kind, from, to, MsgLayer::kDining, seq, payload_tag(core::Fork{})};
+  };
+  rt::Recording a;  // node 0
+  a.events = {ev(5, LoggedEvent::Kind::kDeliver, 1, 0, 3), ev(5, LoggedEvent::Kind::kSend, 0, 1, 1),
+              ev(9, LoggedEvent::Kind::kSend, 0, 1, 2)};
+  a.trace = {{5, 0, dining::TraceEventKind::kStopEating, kNoProcess},
+             {5, 0, dining::TraceEventKind::kBecameHungry, kNoProcess}};
+  a.end_time = 20;
+  rt::Recording b;  // node 1, killed at 12 (no trailer)
+  b.events = {ev(3, LoggedEvent::Kind::kSend, 1, 0, 3), ev(5, LoggedEvent::Kind::kDeliver, 0, 1, 1),
+              ev(12, LoggedEvent::Kind::kSend, 1, 0, 4)};
+  b.trace = {{4, 1, dining::TraceEventKind::kStartEating, kNoProcess}};
+  b.truncated = true;
+
+  const rt::Recording m = rt::merge_recordings({a, b}, {{1, 12}});
+  EXPECT_TRUE(m.truncated);
+  EXPECT_EQ(m.end_time, 20);
+
+  ASSERT_EQ(m.events.size(), 7u);
+  const std::vector<std::pair<Time, LoggedEvent::Kind>> want = {
+      {3, LoggedEvent::Kind::kSend},    {5, LoggedEvent::Kind::kDeliver},
+      {5, LoggedEvent::Kind::kSend},    {5, LoggedEvent::Kind::kDeliver},
+      {9, LoggedEvent::Kind::kSend},    {12, LoggedEvent::Kind::kSend},
+      {12, LoggedEvent::Kind::kCrash},
+  };
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(m.events[i].at, want[i].first) << "event " << i;
+    EXPECT_EQ(m.events[i].kind, want[i].second) << "event " << i;
+  }
+  // Equal stamps at 5: node 0's two records in node 0's order, then node 1's.
+  EXPECT_EQ(m.events[1].from, 1);
+  EXPECT_EQ(m.events[2].from, 0);
+  EXPECT_EQ(m.events[3].from, 0);
+  EXPECT_EQ(m.events[3].to, 1);
+  EXPECT_EQ(m.events[6].from, 1);
+  EXPECT_EQ(m.events[6].to, kNoProcess);
+
+  ASSERT_EQ(m.trace.size(), 4u);
+  expect_same_trace(m.trace[0], {4, 1, dining::TraceEventKind::kStartEating, kNoProcess});
+  expect_same_trace(m.trace[1], {5, 0, dining::TraceEventKind::kStopEating, kNoProcess});
+  expect_same_trace(m.trace[2], {5, 0, dining::TraceEventKind::kBecameHungry, kNoProcess});
+  expect_same_trace(m.trace[3], {12, 1, dining::TraceEventKind::kCrashed, kNoProcess});
+}
+
+// A write that fails (here: the device is full) must show in ok(), so a
+// node can report the hole in its log instead of shipping it silently.
+TEST(LogShipping, WriterOnAFullDeviceReportsFailure) {
+  rt::LogWriter w("/dev/full");
+  ASSERT_TRUE(w.ok()) << "/dev/full opens for writing";
+  w.on_event({1, LoggedEvent::Kind::kTimer, 0, kNoProcess, MsgLayer::kOther, 0, kNoPayloadTag});
+  EXPECT_FALSE(w.ok()) << "a record that never reached the file went unnoticed";
+}
+
 // ---------------------------------------------------------------- cluster
 
 scenario::Config proc_config(std::uint64_t seed) {
@@ -347,6 +526,32 @@ TEST(Cluster, ThreeNodeCleanRunAgreesEverywhere) {
   EXPECT_TRUE(s.exclusion().violations.empty());
   EXPECT_EQ(s.monitor_agreement(), "");
   EXPECT_EQ(s.replay_agreement(), "");
+
+  // Each node numbers its sends with one counter, so (from, seq) names a
+  // send cluster-wide, and every delivery or drop in the merged logs pairs
+  // with exactly one earlier send. The monitors ignore seqs: only this
+  // checks the pairing the shipped logs carry.
+  std::set<std::pair<ProcessId, std::uint64_t>> send_keys;
+  std::map<std::tuple<ProcessId, ProcessId, MsgLayer, std::uint64_t>, int> in_flight;
+  std::size_t sends = 0;
+  std::size_t settled = 0;
+  for (const LoggedEvent& ev : s.result().merged.events) {
+    const auto key = std::make_tuple(ev.from, ev.to, ev.layer, ev.seq);
+    if (ev.kind == LoggedEvent::Kind::kSend) {
+      ++sends;
+      EXPECT_TRUE(send_keys.emplace(ev.from, ev.seq).second)
+          << "send key (" << ev.from << ", " << ev.seq << ") repeats";
+      ++in_flight[key];
+    } else if (ev.kind == LoggedEvent::Kind::kDeliver || ev.kind == LoggedEvent::Kind::kDrop) {
+      ++settled;
+      auto it = in_flight.find(key);
+      ASSERT_TRUE(it != in_flight.end() && it->second > 0)
+          << "unmatched " << ev.describe();
+      --it->second;
+    }
+  }
+  EXPECT_GT(sends, 0u);
+  EXPECT_GT(settled, 0u);
 }
 
 // The PR's acceptance scenario: 8 nodes over UDP loopback, ≥10% injected
@@ -376,6 +581,19 @@ TEST(Cluster, EightNodeLossPartitionCrashAcceptance) {
     } else {
       EXPECT_EQ(node.exit_code, 0) << "survivor " << p << " did not finish cleanly";
       EXPECT_FALSE(node.timed_out) << "survivor " << p << " wedged";
+    }
+  }
+  // A crash is stamped when the orchestrator has reaped the node, so the
+  // node wrote nothing after its own obituary.
+  for (const auto& [p, t] : s.result().crashes) {
+    const rt::Recording& part = s.result().parts[static_cast<std::size_t>(p)];
+    EXPECT_EQ(s.result().nodes[static_cast<std::size_t>(p)].crash_tick, t);
+    for (const LoggedEvent& ev : part.events) {
+      EXPECT_LE(ev.at, t) << "node " << p << " logged " << ev.describe() << " after its crash";
+    }
+    for (const dining::TraceEvent& te : part.trace) {
+      EXPECT_LE(te.at, t) << "node " << p << " traced kind "
+                          << static_cast<int>(te.kind) << " after its crash";
     }
   }
 

@@ -1,16 +1,15 @@
 // Tests for the segmented streaming recorder (src/rt/recorder.hpp,
-// rt/segment.hpp, rt/log_io merge_segments): mode/shard-count equivalence,
+// rt/segment.hpp, rt/log_io merge_segments): shard-count equivalence,
 // merged-book structural invariants, stream stats accounting, shedding,
 // and the live telemetry snapshot loop.
 //
 // "Equivalence" here is the strongest thing a wall-clock-concurrent run
 // can promise: two runs of the same seed schedule differently, so the
 // comparison is not byte equality of books across runs — it is that EVERY
-// run, direct or streaming, any shard count, produces books that (a) the
-// online monitors and post-hoc checkers agree on, (b) replay reproduces
-// exactly, and (c) satisfy the structural invariants a single-mutex
-// linearization guarantees (time-ordered log, unique send seqs, no
-// delivery before its send).
+// run, at any shard count, produces books that (a) the online monitors and
+// post-hoc checkers agree on, (b) replay reproduces exactly, and (c)
+// satisfy the structural invariants of a linearization (time-ordered log,
+// unique send seqs, no delivery before its send).
 //
 // All tests carry the ctest label `rtstream`; CI runs them under TSan and
 // ASan+UBSan (the collector/producer handoff is the point).
