@@ -20,12 +20,18 @@
 //    idempotently on the liveness side even as uniqueness dies.
 //
 // The complement of E12: there the *oracle's* contract was deleted, here
-// the *network's*.
+// the *network's*. The faults come from a net::LinkFaultModel installed
+// as the simulator's adversary on an ideal-network Scenario, so no ARQ
+// repairs them.
+//
+// Exit status: 1 unless the model row is 10/10 clean with 0 Lemma 1.1
+// hits and every duplication row has Lemma 1.1 hits.
 #include <cstdio>
 #include <functional>
 #include <memory>
 
 #include "dining/checkers.hpp"
+#include "net/link_fault_model.hpp"
 #include "scenario/scenario.hpp"
 #include "util/table.hpp"
 
@@ -57,6 +63,7 @@ int main() {
       {"20% duplication + 20% reordering", 0.20, 0.20},
   };
 
+  bool gate_ok = true;
   for (const Row& row : rows) {
     std::uint64_t lemma_hits = 0;
     std::uint64_t violations = 0;
@@ -71,14 +78,14 @@ int main() {
       cfg.algorithm = Algorithm::kWaitFree;
       cfg.detector = DetectorKind::kScripted;  // zero false positives
       cfg.partial_synchrony = false;
-      cfg.channel_dup_prob = row.dup;
-      cfg.channel_reorder_prob = row.reorder;
       cfg.harness.think_lo = 1;  // saturation: resources in constant motion
       cfg.harness.think_hi = 8;
       cfg.harness.eat_lo = 40;
       cfg.harness.eat_hi = 100;
       cfg.run_for = 150'000;
       Scenario s(cfg);
+      net::LinkFaultModel faults(cfg.seed, {.dup_prob = row.dup, .reorder_prob = row.reorder});
+      s.sim().set_adversary(&faults);
 
       // Sample fork uniqueness (Lemma 1.2) throughout the run.
       bool double_hold = false;
@@ -105,6 +112,14 @@ int main() {
       if (!s.wait_freedom(30'000).wait_free()) ++starving_runs;
       if (hits == 0 && ex.violations.empty() && !double_hold) ++clean_runs;
     }
+    if (row.dup == 0.0 && row.reorder == 0.0 && (lemma_hits != 0 || clean_runs != 10)) {
+      std::fprintf(stderr, "E17 gate: the reliable-FIFO row is not 10/10 clean\n");
+      gate_ok = false;
+    }
+    if (row.dup > 0.0 && lemma_hits == 0) {
+      std::fprintf(stderr, "E17 gate: %s shows no Lemma 1.1 hit\n", row.label);
+      gate_ok = false;
+    }
     t.row()
         .cell(row.label)
         .cell(lemma_hits)
@@ -122,5 +137,5 @@ int main() {
       "more rarely (a token must overtake its fork). Progress happens to survive\n"
       "(boolean state absorbs duplicates idempotently), which sharpens the\n"
       "conclusion: reliable FIFO channels are specifically a SAFETY assumption.\n");
-  return 0;
+  return gate_ok ? 0 : 1;
 }

@@ -59,8 +59,8 @@ namespace {
       "                       invariant monitors; proc = one OS process per node\n"
       "                       over UDP loopback, SIGKILL crashes, post-hoc\n"
       "                       monitors over merged shipped logs)\n"
-      "  --net M              ideal|lossy (default ideal; rt lossy = detector-layer\n"
-      "                       drop/dup coins, sim/proc lossy = link faults + ARQ)\n"
+      "  --net M              ideal|lossy (default ideal; lossy = link faults on\n"
+      "                       every layer + the ARQ under the diners, all engines)\n"
       "  --tick-ns NS         rt/proc engines: wall nanoseconds per tick\n"
       "                       (default 100000)\n"
       "  --shards C           rt engine: worker shards (default 0 = one per\n"

@@ -11,9 +11,10 @@
 ///  * the deterministic simulator (`ReliableTransport`'s Simulator
 ///    constructor builds the adapter internally — behavior, logs and
 ///    digests are unchanged);
-///  * the real-threads runtime (`rt::RtArq`, src/rt/arq.hpp): physical
-///    segments ride the lock-free mailboxes, timers ride the wall clock,
-///    one mutex serializes the shared per-edge state;
+///  * the real-threads runtime (`rt::RtArq`, src/rt/arq.hpp, installed by
+///    every lossy `RtScenario`): physical segments ride the lock-free
+///    mailboxes, timers ride the wall clock, one mutex serializes the
+///    shared per-edge state;
 ///  * the multi-process socket engine (`netproc::NodeEngine`,
 ///    src/netproc/node.hpp): segments ride real UDP datagrams between OS
 ///    processes and face genuine kernel loss on top of injected faults.

@@ -4,8 +4,14 @@
 
 namespace ekbd::net {
 
-LinkFaultModel::LinkFaultModel(std::uint64_t seed, LinkFaultParams defaults)
-    : rng_(seed), defaults_(defaults) {}
+std::uint64_t fault_seed(std::uint64_t seed, ProcessId self) {
+  constexpr std::uint64_t kFaultSalt = 0x9e3779b97f4a7c15ULL;
+  return ekbd::sim::Rng(seed ^ kFaultSalt).fork(static_cast<std::uint64_t>(self) + 1).u64();
+}
+
+LinkFaultModel::LinkFaultModel(std::uint64_t seed, LinkFaultParams defaults,
+                               std::shared_ptr<CutSchedule> cuts)
+    : rng_(seed), defaults_(defaults), cuts_(std::move(cuts)) {}
 
 void LinkFaultModel::set_link_params(ProcessId a, ProcessId b, LinkFaultParams params) {
   per_link_[undirected_key(a, b)] = params;
@@ -17,7 +23,7 @@ const LinkFaultParams& LinkFaultModel::params_for(ProcessId a, ProcessId b) cons
 }
 
 bool LinkFaultModel::cut(ProcessId from, ProcessId to, Time now) const {
-  for (const Partition& p : partitions_) {
+  for (const Partition& p : cuts_->partitions) {
     if (now < p.from || (p.until >= 0 && now >= p.until)) continue;
     bool from_inside = false;
     bool to_inside = false;
@@ -27,7 +33,7 @@ bool LinkFaultModel::cut(ProcessId from, ProcessId to, Time now) const {
     }
     if (from_inside != to_inside) return true;  // the message crosses the cut
   }
-  for (const EdgeCut& c : edge_cuts_) {
+  for (const EdgeCut& c : cuts_->edge_cuts) {
     if (now < c.from || (c.until >= 0 && now >= c.until)) continue;
     if ((c.a == from && c.b == to) || (c.a == to && c.b == from)) return true;
   }
@@ -36,11 +42,11 @@ bool LinkFaultModel::cut(ProcessId from, ProcessId to, Time now) const {
 
 Time LinkFaultModel::last_heal_time() const {
   Time heal = 0;
-  for (const Partition& p : partitions_) {
+  for (const Partition& p : cuts_->partitions) {
     if (p.until < 0) return -1;
     heal = std::max(heal, p.until);
   }
-  for (const EdgeCut& c : edge_cuts_) {
+  for (const EdgeCut& c : cuts_->edge_cuts) {
     if (c.until < 0) return -1;
     heal = std::max(heal, c.until);
   }

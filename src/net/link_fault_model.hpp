@@ -3,16 +3,17 @@
 /// reordering, and scheduled partitions.
 ///
 /// The paper assumes reliable FIFO channels; real links are fair-lossy at
-/// best. This model is the adversary half of the net/ subsystem: plugged
-/// into the simulator (Simulator::set_adversary) it decides, per physical
-/// send and from its own explicitly seeded Rng, whether the message is
-/// lost in flight, duplicated, or exempted from the per-channel FIFO
-/// horizon — and whether the (from, to) link is currently cut by a
-/// scheduled partition. The decisions are a pure function of
-/// (seed, query order), so two runs of the same scenario replay the same
-/// fault schedule; every fault is also recorded in the simulator's event
-/// log (kLoss / kDuplicate / kPartitionLoss) and can be surfaced into the
-/// dining trace via the observer hook.
+/// best. This model is the adversary half of the net/ subsystem on every
+/// engine: the simulator's adversary (Simulator::set_adversary), one per
+/// sender on the rt engine, and one per node at the proc engine's socket
+/// boundary. It decides, per physical send and from its own explicitly
+/// seeded Rng, whether the message is lost in flight, duplicated, or
+/// exempted from the per-channel FIFO horizon — and whether the (from, to)
+/// link is currently cut by a scheduled partition. The decisions are a
+/// pure function of (seed, query order), so two runs of the same scenario
+/// replay the same fault schedule; every engine records each fault in its
+/// event log (kLoss / kDuplicate / kPartitionLoss), and the sim also
+/// surfaces them into the dining trace via the observer hook.
 ///
 /// Fairness caveat (what "fair-lossy" buys): drops are independent coin
 /// flips with probability < 1, so a message retransmitted forever is
@@ -23,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -60,6 +62,19 @@ struct EdgeCut {
   Time until = -1;
 };
 
+/// A run's scheduled cuts. The rt engine's per-sender models share one
+/// copy, which nobody changes once the run has started.
+struct CutSchedule {
+  std::vector<Partition> partitions;
+  std::vector<EdgeCut> edge_cuts;
+};
+
+/// Seed of sender `self`'s fault coins on the engines that give every
+/// sender its own model (rt, proc): forked per id from the master seed
+/// under a salt, so each sender's schedule is seed-deterministic and
+/// independent of the others and of the actor rng streams.
+[[nodiscard]] std::uint64_t fault_seed(std::uint64_t seed, ProcessId self);
+
 class LinkFaultModel final : public ekbd::sim::ChannelAdversary {
  public:
   /// One observed fault, pushed to the observer (if any) as it happens —
@@ -76,13 +91,15 @@ class LinkFaultModel final : public ekbd::sim::ChannelAdversary {
   /// \param seed     explicit seed for the fault coin flips — never taken
   ///                 from an ambient default (seed-determinism audit).
   /// \param defaults fault probabilities for links without an override
-  LinkFaultModel(std::uint64_t seed, LinkFaultParams defaults = {});
+  /// \param cuts     the cut schedule, shared with other models or own
+  LinkFaultModel(std::uint64_t seed, LinkFaultParams defaults = {},
+                 std::shared_ptr<CutSchedule> cuts = std::make_shared<CutSchedule>());
 
   /// Override the fault probabilities of undirected link {a, b}.
   void set_link_params(ProcessId a, ProcessId b, LinkFaultParams params);
 
-  void add_partition(Partition p) { partitions_.push_back(std::move(p)); }
-  void add_edge_cut(EdgeCut c) { edge_cuts_.push_back(c); }
+  void add_partition(Partition p) { cuts_->partitions.push_back(std::move(p)); }
+  void add_edge_cut(EdgeCut c) { cuts_->edge_cuts.push_back(c); }
 
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
@@ -121,8 +138,7 @@ class LinkFaultModel final : public ekbd::sim::ChannelAdversary {
   ekbd::sim::Rng rng_;
   LinkFaultParams defaults_;
   std::unordered_map<std::uint64_t, LinkFaultParams> per_link_;
-  std::vector<Partition> partitions_;
-  std::vector<EdgeCut> edge_cuts_;
+  std::shared_ptr<CutSchedule> cuts_;
   Observer observer_;
   std::uint64_t drops_ = 0;
   std::uint64_t duplicates_ = 0;

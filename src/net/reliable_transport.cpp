@@ -71,13 +71,7 @@ ReliableTransport::~ReliableTransport() {
 }
 
 bool ReliableTransport::covers(MsgLayer layer) const {
-  switch (layer) {
-    case MsgLayer::kDining: return params_.cover_dining;
-    case MsgLayer::kOther: return params_.cover_other;
-    case MsgLayer::kDetector:
-    case MsgLayer::kTransport: return false;
-  }
-  return false;
+  return layer == MsgLayer::kDining || layer == MsgLayer::kOther;
 }
 
 bool ReliableTransport::suspected(ProcessId owner, ProcessId target) const {
@@ -265,6 +259,13 @@ void ReliableTransport::handle_ack(const ekbd::sim::Message& m, const AckSegment
     // clock for the remaining queue.
     tx.rto = params_.rto_initial;
     arm_timer(m.to, m.from, tx, tx.rto);
+  } else if (tx.unacked.begin()->first == ack.cumulative && !suspected(m.to, m.from)) {
+    // The receiver got some other segment and still waits for the head,
+    // most often because the head was lost. Resend it now: the timer could
+    // take a whole rto_max, since a healed partition leaves the backoff at
+    // its cap. The timer and its backoff stay as they are.
+    transmit(m.to, m.from, tx, ack.cumulative);
+    ++retransmissions_;
   }
 }
 

@@ -8,14 +8,17 @@
 /// retransmission queue, and retransmits on a timeout with exponential
 /// backoff capped at `rto_max`; the receiver delivers strictly in sequence
 /// order (buffering out-of-order arrivals, suppressing duplicates) and
-/// answers every data segment with a cumulative acknowledgement. The
+/// answers every data segment with a cumulative acknowledgement. An ack
+/// that repeats the oldest outstanding sequence number resends that
+/// segment at once, without waiting for the timer. The
 /// dining/doorway/fork layers above see exactly the reliable FIFO channel
 /// the paper assumes — loss, duplication and reordering are absorbed here.
 ///
 /// The protocol state machine is engine-agnostic: every interaction with
 /// the world goes through `ArqEnv` (net/arq_env.hpp), so the same shim
 /// runs under the deterministic simulator, the real-threads runtime
-/// (rt::RtArq) and the multi-process socket engine (netproc::NodeEngine).
+/// (rt::RtArq) and the multi-process socket engine (netproc::NodeEngine);
+/// the lossy scenarios of all three install it the same way.
 /// The Simulator constructor below builds the sim adapter internally and
 /// installs itself with `set_transport`, preserving the historical
 /// behavior bit for bit.
@@ -85,11 +88,6 @@ class ReliableTransport final : public ekbd::sim::Transport {
     /// Seed of the per-edge jitter streams (independent of every other
     /// stream in the run; only consulted when rto_jitter > 0).
     std::uint64_t jitter_seed = 1;
-    /// Layers carried by the ARQ. Detector traffic deliberately stays raw:
-    /// ◇P₁ implementations are loss-tolerant by design and retransmitting
-    /// heartbeats would falsify their timing assumptions.
-    bool cover_dining = true;
-    bool cover_other = true;
   };
 
   /// Installs itself on `sim` (set_transport). `detector` (may be null)
@@ -111,6 +109,9 @@ class ReliableTransport final : public ekbd::sim::Transport {
 
   // -- sim::Transport ----------------------------------------------------
 
+  /// The ARQ carries the dining and kOther layers. Detector traffic stays
+  /// raw: ◇P₁ implementations are loss-tolerant by design, and
+  /// retransmitting heartbeats would falsify their timing assumptions.
   [[nodiscard]] bool covers(MsgLayer layer) const override;
   void logical_send(ProcessId from, ProcessId to, const ekbd::sim::Payload& payload,
                     MsgLayer layer) override;

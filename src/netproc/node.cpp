@@ -7,15 +7,6 @@
 namespace ekbd::netproc {
 
 namespace {
-/// Same salt as the rt engine's per-sender fault streams: the socket
-/// filter's coins are forked per sender id from (seed ^ salt), so each
-/// node's drop/dup schedule is independent and seed-deterministic.
-constexpr std::uint64_t kFaultSalt = 0x9e3779b97f4a7c15ULL;
-
-std::uint64_t fault_seed(std::uint64_t seed, sim::ProcessId self) {
-  return sim::Rng(seed ^ kFaultSalt).fork(static_cast<std::uint64_t>(self) + 1).u64();
-}
-
 sim::LoggedEvent message_event(sim::Time at, sim::LoggedEvent::Kind kind,
                                const sim::Message& m) {
   return {at, kind, m.from, m.to, m.layer, m.seq, sim::payload_tag(m.payload)};
@@ -26,12 +17,9 @@ NodeEngine::NodeEngine(NodeConfig cfg)
     : cfg_(std::move(cfg)),
       clock_(cfg_.tick_ns),
       writer_(cfg_.log_path),
-      filter_(fault_seed(cfg_.seed, cfg_.self), cfg_.link_faults),
+      filter_(net::fault_seed(cfg_.seed, cfg_.self), cfg_.link_faults),
       rng_(sim::Rng(cfg_.seed).fork(static_cast<std::uint64_t>(cfg_.self) + 1)),
-      crashed_(cfg_.n, 0) {
-  for (const net::Partition& p : cfg_.partitions) filter_.add_partition(p);
-  for (const net::EdgeCut& c : cfg_.edge_cuts) filter_.add_edge_cut(c);
-}
+      crashed_(cfg_.n, 0) {}
 
 NodeEngine::~NodeEngine() = default;
 

@@ -73,11 +73,9 @@ struct NodeConfig {
   sim::Time horizon = 0;        ///< run end, in ticks
 
   /// Injected socket-boundary faults (drop/dup coins; reorder is what the
-  /// real wire already does). Partitions/edge cuts may also arrive at
-  /// runtime as control frames.
+  /// real wire already does). Partitions and edge cuts arrive at runtime
+  /// as control frames.
   net::LinkFaultParams link_faults{};
-  std::vector<net::Partition> partitions;
-  std::vector<net::EdgeCut> edge_cuts;
 
   std::string log_path;         ///< shipped log (rt/log_io framing)
   std::uint16_t orch_port = 0;  ///< orchestrator's control socket

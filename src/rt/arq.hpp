@@ -2,12 +2,11 @@
 /// The Stenning ARQ over real threads: `net::ReliableTransport` welded to
 /// `rt::Runtime` through the `net::ArqEnv` seam.
 ///
-/// This closes the standing `FaultParams::include_dining` gap: with an
-/// RtArq installed (`Runtime::set_transport`), dining traffic rides the
-/// ARQ while the drop/dup coins attack the *physical* kTransport
-/// segments — the rt engine finally exercises retransmission, duplicate
-/// suppression and reordering recovery under real concurrency, not just
-/// detector-layer coin flips.
+/// `RtScenario` installs one on every lossy network, as the sim and proc
+/// scenarios install theirs: dining traffic rides the ARQ while the
+/// senders' fault models attack the *physical* kTransport segments, so
+/// the rt engine exercises retransmission, duplicate suppression and
+/// partition recovery under real concurrency.
 ///
 /// Concurrency model: the protocol state (per-edge sequence numbers,
 /// retransmission queues, reorder buffers) is shared by every worker

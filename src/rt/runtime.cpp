@@ -10,10 +10,6 @@
 namespace ekbd::rt {
 
 namespace {
-/// Salt separating the fault-coin streams from the actor rng streams
-/// (both are forked per process id from the master seed).
-constexpr std::uint64_t kFaultSalt = 0x9e3779b97f4a7c15ULL;
-
 // Executor tuning (docs/RUNTIME.md): no caller needs other values.
 constexpr int kDispatchBatch = 64;       ///< handlers per claim before it is released
 constexpr std::size_t kDrainBurst = 16;  ///< messages per bulk mailbox drain
@@ -32,7 +28,14 @@ thread_local int tls_help_depth = 0;
 }  // namespace
 
 Runtime::Runtime(Options opt, Recorder& recorder)
-    : opt_(opt), rec_(recorder), clock_(opt.tick_ns) {}
+    : opt_(std::move(opt)), rec_(recorder), clock_(opt_.tick_ns) {
+  const net::LinkFaultParams& f = opt_.link_faults;
+  if (f.drop_prob > 0.0 || f.dup_prob > 0.0 || f.reorder_prob > 0.0 ||
+      !opt_.partitions.empty() || !opt_.edge_cuts.empty()) {
+    cuts_ = std::make_shared<net::CutSchedule>(
+        net::CutSchedule{opt_.partitions, opt_.edge_cuts});
+  }
+}
 
 Runtime::~Runtime() { stop_and_join(); }
 
@@ -50,8 +53,10 @@ sim::ProcessId Runtime::add_actor(std::unique_ptr<sim::Actor> actor) {
   // under the actor's dispatch claim.
   cell->rng = std::make_unique<sim::Rng>(
       sim::Rng(opt_.seed).fork(static_cast<std::uint64_t>(id) + 1));
-  cell->fault_rng = std::make_unique<sim::Rng>(
-      sim::Rng(opt_.seed ^ kFaultSalt).fork(static_cast<std::uint64_t>(id) + 1));
+  if (cuts_ != nullptr) {
+    cell->faults = std::make_unique<net::LinkFaultModel>(net::fault_seed(opt_.seed, id),
+                                                         opt_.link_faults, cuts_);
+  }
   cells_.push_back(std::move(cell));
   return id;
 }
@@ -228,17 +233,14 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
 
   const auto ti = static_cast<std::uint32_t>(to);
 
-  bool drop = false;
-  bool dup = false;
-  if (from >= 0 && opt_.faults.any() && opt_.faults.covers(layer) &&
-      started_.load(std::memory_order_relaxed)) {
-    // Coins come from the *sender's* stream: send() runs in the sender's
-    // dispatch context (handlers are the only senders once started), so
-    // the stream is claim-confined and the coin sequence depends only on
-    // the sender's own send order.
-    sim::Rng& coins = *cells_[static_cast<std::size_t>(from)]->fault_rng;
-    drop = coins.chance(opt_.faults.drop_prob);
-    if (!drop) dup = coins.chance(opt_.faults.dup_prob);
+  sim::FaultDecision fate;
+  if (from >= 0) {
+    // The *sender's* model: send() runs in the sender's dispatch context
+    // (handlers are the only senders once started), so the model is
+    // claim-confined and its schedule depends only on the sender's own
+    // send order. Mailboxes are FIFO, so a reorder coin only counts.
+    net::LinkFaultModel* faults = cells_[static_cast<std::size_t>(from)]->faults.get();
+    if (faults != nullptr) fate = faults->on_send(from, to, layer, now());
   }
 
   sim::Message m;
@@ -246,12 +248,12 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
   m.to = to;
   m.layer = layer;
   m.payload = payload;
-  rec_.on_send(m, now(), drop);
-  if (drop) return;
+  rec_.on_send(m, now(), fate.drop, fate.partitioned);
+  if (fate.drop) return;
 
   if (!enqueue(ti, m)) return;
 
-  if (dup) {
+  if (fate.duplicate) {
     sim::Message d;
     d.from = from;
     d.to = to;

@@ -99,8 +99,9 @@
 ///    simulator derives them (`Rng(seed).fork(p + 1)`) and drawn only
 ///    under the actor's dispatch claim — identical streams for ANY shard
 ///    count, which the shard-invariance tests assert across {1,2,C,2C};
-///  * the seed-deterministic link-fault layer (per-sender coin streams),
-///    the Recorder linearization feeding the online monitors, and
+///  * the seed-deterministic link-fault layer (one net::LinkFaultModel
+///    per sender, seeded as the proc engine seeds its nodes'), the
+///    Recorder linearization feeding the online monitors, and
 ///    rt::replay agreement.
 #pragma once
 
@@ -120,6 +121,7 @@
 #include <vector>
 
 #include "fd/detector.hpp"
+#include "net/link_fault_model.hpp"
 #include "rt/clock.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/recorder.hpp"
@@ -131,27 +133,18 @@
 
 namespace ekbd::rt {
 
-/// Seed-deterministic link faults for the rt engine (per-sender coin
-/// streams). `include_dining` extends the faults to the dining layer —
-/// only meaningful for model-violation experiments, since the paper
-/// assumes reliable dining channels (see docs/RUNTIME.md).
-struct FaultParams {
-  double drop_prob = 0.0;
-  double dup_prob = 0.0;
-  bool include_dining = false;
-
-  [[nodiscard]] bool any() const { return drop_prob > 0.0 || dup_prob > 0.0; }
-  [[nodiscard]] bool covers(sim::MsgLayer layer) const {
-    if (layer == sim::MsgLayer::kDetector) return true;
-    return include_dining &&
-           (layer == sim::MsgLayer::kDining || layer == sim::MsgLayer::kTransport);
-  }
-};
-
 struct Options {
   std::uint64_t seed = 1;
   std::uint64_t tick_ns = 100'000;        ///< wall nanoseconds per tick (100 µs)
-  FaultParams faults{};
+
+  /// The lossy network: when any probability is set or any cut is
+  /// scheduled, every sender gets its own net::LinkFaultModel, seeded by
+  /// net::fault_seed(seed, sender), which decides the fate of each of its
+  /// physical sends on every layer. Otherwise no model exists. The lossy
+  /// scenarios put an rt::RtArq on top, as the sim and proc engines do.
+  net::LinkFaultParams link_faults{};
+  std::vector<net::Partition> partitions;
+  std::vector<net::EdgeCut> edge_cuts;
 
   /// Worker shards. 0 = hardware_concurrency; always clamped to
   /// [1, num actors]. `shards == num actors` reproduces the old
@@ -226,7 +219,7 @@ class Runtime final : public sim::TransportIface {
 
   /// Physical send, bypassing the transport diversion: the path every
   /// message took before set_transport existed, and the path the ARQ's own
-  /// segments take. Draws the sender's fault coins, records, enqueues.
+  /// segments take. Asks the sender's fault model, records, enqueues.
   void raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
                 sim::MsgLayer layer);
 
@@ -415,7 +408,8 @@ class Runtime final : public sim::TransportIface {
     std::unordered_map<sim::TimerId, std::function<void()>> calls;
     sim::TimerId next_timer_id = 1;
     std::unique_ptr<sim::Rng> rng;        ///< Rng(seed).fork(p + 1)
-    std::unique_ptr<sim::Rng> fault_rng;  ///< per-sender drop/dup coins
+    /// This sender's link faults (null on the ideal network).
+    std::unique_ptr<net::LinkFaultModel> faults;
     sim::Time crash_at = -1;              ///< scheduled crash tick (-1 = none)
     sim::Time recover_at = -1;            ///< scheduled rejoin tick (-1 = none)
     std::size_t mailbox_high_water = 0;   ///< max occupancy seen at a drain
@@ -529,6 +523,8 @@ class Runtime final : public sim::TransportIface {
   bool enqueue(std::uint32_t idx, const sim::Message& m);
 
   Options opt_;
+  /// The cuts every sender's fault model reads (null on the ideal network).
+  std::shared_ptr<net::CutSchedule> cuts_;
   Recorder& rec_;
   TickClock clock_;
   sim::Transport* transport_ = nullptr;

@@ -1,5 +1,6 @@
 #include "scenario/load_scenario.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -18,6 +19,13 @@ void validate(const LoadConfig& cfg) {
     throw std::invalid_argument(
         "LoadConfig.base.engine: the workload harness runs on sim or rt; the proc "
         "engine has no churn transport yet");
+  }
+  const bool recovers = std::any_of(cfg.recoveries.begin(), cfg.recoveries.end(),
+                                    [](const RecoverySpec& r) { return r.recover_at >= 0; });
+  if (recovers && cfg.base.net_mode != NetMode::kIdeal) {
+    throw std::invalid_argument(
+        "LoadConfig.base.net_mode: a recovery needs the ideal network; the ARQ has no "
+        "incarnation epoch, so a rejoiner's edges stay abandoned");
   }
 }
 

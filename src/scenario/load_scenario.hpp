@@ -79,8 +79,10 @@ struct LoadConfig {
 };
 
 /// Throw std::invalid_argument naming the first field the workload
-/// harness cannot run: `base.algorithm` must be kWaitFree and
-/// `base.engine` kSim or kRt. The engine scenario checks `base` itself.
+/// harness cannot run: `base.algorithm` must be kWaitFree,
+/// `base.engine` kSim or kRt, and `base.net_mode` kIdeal when a recovery
+/// is planned (the ARQ has no incarnation epoch yet). The engine scenario
+/// checks `base` itself.
 void validate(const LoadConfig& cfg);
 
 class LoadScenario : public Reports {

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 
 namespace ekbd::scenario {
 
@@ -53,15 +54,12 @@ RtScenario::RtScenario(Config cfg)
   opt.seed = cfg_.seed;
   opt.tick_ns = cfg_.rt_tick_ns;
   opt.shards = cfg_.rt_shards;
-  if (cfg_.net_mode != NetMode::kIdeal) {
-    // Lossy channels, rt style: seed-deterministic drop/dup coins on the
-    // detector layer. The dining layer keeps the reliable in-process
-    // channels (the paper's model assumes reliable dining channels; a ◇P₁
-    // implementation must survive a lossy wire).
-    opt.faults.drop_prob = cfg_.link_faults.drop_prob;
-    opt.faults.dup_prob = cfg_.link_faults.dup_prob;
+  if (cfg_.net_mode != NetMode::kIdeal) opt.link_faults = cfg_.link_faults;
+  if (cfg_.net_mode == NetMode::kLossyPartition) {
+    opt.partitions = cfg_.partitions;
+    opt.edge_cuts = cfg_.edge_cuts;
   }
-  rt_ = std::make_unique<ekbd::rt::Runtime>(opt, recorder_);
+  rt_ = std::make_unique<ekbd::rt::Runtime>(std::move(opt), recorder_);
 
   // -- detector -----------------------------------------------------------
   detectors_ = make_detector(
@@ -74,6 +72,11 @@ RtScenario::RtScenario(Config cfg)
   diners_ = add_diners(cfg_, graph_, colors_, *detectors_.owned, detectors_, *rt_, *harness_);
   for (const auto& [p, at] : cfg_.crashes) {
     rt_->schedule_crash(p, at);
+  }
+  if (cfg_.net_mode != NetMode::kIdeal) {
+    // Reliable FIFO dining channels over the lossy wire, as on the sim
+    // and proc engines; retransmission quiesces on the diners' detector.
+    arq_ = std::make_unique<ekbd::rt::RtArq>(*rt_, cfg_.transport, detectors_.owned.get());
   }
 }
 
@@ -158,6 +161,7 @@ Books RtScenario::books() const {
 
 std::string RtScenario::telemetry_json() const {
   if (metrics_ == nullptr) return "{}";
+  if (arq_ != nullptr) ekbd::obs::collect_transport_metrics(arq_->inner(), *metrics_);
   const std::string config_extras = ",\"tick_ns\":" + std::to_string(cfg_.rt_tick_ns) +
                                     ",\"shards\":" + std::to_string(rt_->shard_count());
   std::string sections = ",\"executor\":" + executor_json(rt_->stats());

@@ -15,11 +15,12 @@
 ///    crash flags), kHeartbeat / kPingPong / kAccrual (real modules over
 ///    real timers). kScripted is sim-only (it is written against virtual
 ///    time); `validate` rejects it;
-///  * net_mode kLossy — seed-deterministic drop/dup coins on the
-///    *detector* layer (`link_faults.drop_prob` / `dup_prob`); the dining
-///    layer keeps the reliable in-process channels, matching the paper's
-///    model. Partitions (rejected by `validate`) and the ARQ transport
-///    are not wired here; the proc engine has both;
+///  * net_mode kLossy / kLossyPartition — as on the sim and proc engines:
+///    `link_faults` (and under kLossyPartition `partitions` and
+///    `edge_cuts`) decide the fate of every physical send on every layer,
+///    through one net::LinkFaultModel per sender, and an rt::RtArq with
+///    `transport` rebuilds reliable FIFO channels under the dining layer.
+///    Mailboxes are FIFO, so `reorder_prob` only counts;
 ///  * observability — the MonitorHub rides the Recorder's streams; an
 ///    EventLog is attached so runs can be replayed (rt/replay.hpp) and
 ///    exported to Perfetto.
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "obs/perfetto.hpp"
+#include "rt/arq.hpp"
 #include "rt/recorder.hpp"
 #include "rt/runtime.hpp"
 #include "scenario/scenario.hpp"
@@ -70,13 +72,18 @@ class RtScenario : public Reports {
   [[nodiscard]] ekbd::obs::MetricsRegistry* metrics() { return metrics_.get(); }
   /// Online invariant monitors (nullptr unless cfg.observability).
   [[nodiscard]] ekbd::obs::MonitorHub* monitors() { return monitors_.get(); }
+  /// The ARQ under the dining layer (nullptr on the ideal network); read
+  /// its counters after run().
+  [[nodiscard]] const ekbd::net::ReliableTransport* transport() const {
+    return arq_ != nullptr ? &arq_->inner() : nullptr;
+  }
 
   [[nodiscard]] Books books() const override;
 
   /// One-line JSON telemetry snapshot (requires cfg.observability) —
-  /// same shape as Scenario::telemetry_json, with "engine":"rt" plus
-  /// "latency" (hungry→eat quantiles) and "stream" (recorder StreamStats)
-  /// objects.
+  /// same shape as Scenario::telemetry_json (the `arq.*` counters
+  /// included on a lossy network), with "engine":"rt" plus "latency"
+  /// (hungry→eat quantiles) and "stream" (recorder StreamStats) objects.
   [[nodiscard]] std::string telemetry_json() const;
 
   /// Counter-track samples collected by the live snapshot loop (empty
@@ -106,6 +113,7 @@ class RtScenario : public Reports {
   DetectorSet detectors_;
   std::unique_ptr<ekbd::dining::Harness> harness_;
   std::vector<ekbd::dining::Diner*> diners_;
+  std::unique_ptr<ekbd::rt::RtArq> arq_;  ///< after rt_ and detectors_: dies first
   std::vector<ekbd::obs::CounterSample> counter_samples_;
   bool ran_ = false;
 };

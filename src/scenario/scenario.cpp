@@ -66,9 +66,6 @@ void validate(const Config& cfg, Engine engine) {
     reject("detector", "the scripted detector runs on virtual time, so only the sim engine "
                        "has it; use heartbeat on rt");
   }
-  if (engine == Engine::kRt && cfg.net_mode == NetMode::kLossyPartition) {
-    reject("net_mode", "the rt engine has no partitions; use the sim or proc engine");
-  }
   if (engine == Engine::kProc && cfg.detector != DetectorKind::kNever &&
       cfg.detector != DetectorKind::kPerfect && cfg.detector != DetectorKind::kHeartbeat) {
     reject("detector", "the proc engine wires none|perfect|heartbeat only, not " +
@@ -211,9 +208,6 @@ Scenario::Scenario(Config cfg)
       colors_(ekbd::graph::welsh_powell_coloring(graph_)),
       sim_(std::make_unique<ekbd::sim::Simulator>(cfg_.seed, build_delays(cfg_))) {
   validate(cfg_, Engine::kSim);
-  if (cfg_.channel_dup_prob > 0.0 || cfg_.channel_reorder_prob > 0.0) {
-    sim_->set_channel_faults(cfg_.channel_dup_prob, cfg_.channel_reorder_prob);
-  }
 
   // -- observability -------------------------------------------------------
   // Wired before any actor exists so the monitors see every event from

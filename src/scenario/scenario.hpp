@@ -94,10 +94,10 @@ struct Config {
 
   /// Engine selection: the engine class that runs the Config must match
   /// (`validate`). Most knobs are shared (topology, algorithm, detector,
-  /// harness, crashes, run_for measured in ticks); sim-only knobs (delay
-  /// model, scripted detector, channel faults, partitions, ARQ transport)
-  /// are rejected or ignored by the rt engine — see
-  /// scenario/rt_scenario.hpp for the exact mapping.
+  /// harness, crashes, the lossy network, run_for measured in ticks);
+  /// sim-only knobs (delay model, scripted detector) are rejected or
+  /// ignored by the rt engine — see scenario/rt_scenario.hpp for the
+  /// exact mapping.
   Engine engine = Engine::kSim;
 
   // rt-engine knobs (used only when engine == kRt)
@@ -159,16 +159,11 @@ struct Config {
   std::vector<std::pair<ProcessId, ProcessId>> blind_pairs;
   std::vector<std::pair<ProcessId, ProcessId>> poison_pairs;
 
-  /// Channel-fault injection (model-violation experiments, E17): the
-  /// paper assumes reliable FIFO channels; these knobs break that on
-  /// purpose. Keep 0 for every reproduction experiment.
-  double channel_dup_prob = 0.0;
-  double channel_reorder_prob = 0.0;
-
   /// Network fault model + reliable transport (the net/ subsystem). In
-  /// kLossy / kLossyPartition a LinkFaultModel adversary attacks every
-  /// physical send and a ReliableTransport ARQ shim is interposed under
-  /// the dining layer, so the diners still see reliable FIFO channels.
+  /// kLossy / kLossyPartition, on every engine, a LinkFaultModel decides
+  /// the fate of every physical send and a ReliableTransport ARQ shim is
+  /// interposed under the dining layer, so the diners still see reliable
+  /// FIFO channels.
   NetMode net_mode = NetMode::kIdeal;
   ekbd::net::LinkFaultParams link_faults{
       .drop_prob = 0.1, .dup_prob = 0.05, .reorder_prob = 0.05};
@@ -199,9 +194,8 @@ struct Config {
 
 /// Throw std::invalid_argument naming the first field of `cfg` that the
 /// engine class being built cannot run. `engine` is that class's engine:
-/// `cfg.engine` must name it, the rt engine has no scripted detector and
-/// no partitions, and the proc engine wires kNever, kPerfect and
-/// kHeartbeat only. Every engine class calls it before it runs anything,
+/// `cfg.engine` must name it, the rt engine has no scripted detector, and
+/// the proc engine wires kNever, kPerfect and kHeartbeat only. Every engine class calls it before it runs anything,
 /// so a misconfiguration fails in every build type.
 void validate(const Config& cfg, Engine engine);
 

@@ -234,19 +234,9 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
     push_controlled(PendingEvent::Kind::kMessage, from, to, kNoProcess, rank).msg = m;
     return;
   }
-  const bool legacy_dup = dup_prob_ > 0.0 && rng_.chance(dup_prob_);
-  bool reorder = reorder_prob_ > 0.0 && rng_.chance(reorder_prob_);
-  bool drop = false;
-  bool partitioned = false;
-  bool adversary_dup = false;
-  if (adversary_ != nullptr) {
-    const FaultDecision d = adversary_->on_send(from, to, layer, now_);
-    drop = d.drop;
-    partitioned = d.partitioned;
-    adversary_dup = !drop && d.duplicate;
-    reorder = reorder || d.reorder;
-  }
-  const bool duplicate = adversary_dup || (!drop && legacy_dup);
+  FaultDecision fate;
+  if (adversary_ != nullptr) fate = adversary_->on_send(from, to, layer, now_);
+  const bool duplicate = !fate.drop && fate.duplicate;
   const Time latency = delays_->sample(from, to, now_, rng_);
   // Build the delivery record directly in its slab slot — no stack
   // Message, no stack Event, no copies. Slots are recycled, so every
@@ -267,7 +257,7 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
     dup_ev.msg = slab_[slot].msg;  // independent delay for the ghost
     network_.stamp(dup_ev.msg, now_, delays_->sample(from, to, now_, rng_), crashed(to),
                    /*fifo=*/false);
-    if (adversary_dup && tracing()) {
+    if (tracing()) {
       emit(LoggedEvent{now_, LoggedEvent::Kind::kDuplicate, from, to, layer,
                        dup_ev.msg.seq, payload_tag(dup_ev.msg.payload)});
     }
@@ -277,19 +267,19 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
     commit_event(dup_slot);
   }
   Event& ev = slab_[slot];
-  network_.stamp(ev.msg, now_, latency, crashed(to), /*fifo=*/!reorder);
+  network_.stamp(ev.msg, now_, latency, crashed(to), /*fifo=*/!fate.reorder);
   if (metrics_.sends != nullptr) metrics_.sends->inc(duplicate ? 2 : 1);
   if (tracing()) {
     emit(LoggedEvent{now_, LoggedEvent::Kind::kSend, from, to, layer,
                      ev.msg.seq, payload_tag(ev.msg.payload)});
   }
   ev.at = ev.msg.deliver_at;
-  if (drop) {
+  if (fate.drop) {
     // Lost in flight: the message occupies the channel until its delivery
     // time, then the books settle and the loss is logged — never handed to
     // the recipient. Same settlement discipline as drop-at-crashed-target.
     ev.kind = Event::Kind::kDropSettle;
-    ev.partitioned = partitioned;
+    ev.partitioned = fate.partitioned;
   } else {
     ev.kind = Event::Kind::kDeliver;
     ev.partitioned = false;  // slots are recycled: clear stale state

@@ -242,20 +242,6 @@ class Simulator final : public TransportIface {
   /// obs::MetricsRegistry owned elsewhere; every handle is optional.
   void set_metrics(const SimMetrics& m) { metrics_ = m; }
 
-  // -- channel faults (model-violation experiments) ----------------------
-
-  /// Break the reliable-FIFO channel assumptions on purpose (kTimed only):
-  /// with probability `dup_prob` a sent message is delivered twice (the
-  /// duplicate takes an independent delay), and with probability
-  /// `reorder_prob` a message ignores the per-channel FIFO order (it may
-  /// undercut earlier messages). The paper's Lemmas 1.1/1.2 *assume* these
-  /// never happen; bench/e17_model_assumptions shows what breaks when they
-  /// do. Default: 0/0 — the paper's model.
-  void set_channel_faults(double dup_prob, double reorder_prob) {
-    dup_prob_ = dup_prob;
-    reorder_prob_ = reorder_prob;
-  }
-
   // -- crash faults -----------------------------------------------------
 
   /// Crash `p` immediately (idempotent).
@@ -443,8 +429,6 @@ class Simulator final : public TransportIface {
   std::uint64_t next_event_seq_ = 0;
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t events_processed_ = 0;
-  double dup_prob_ = 0.0;
-  double reorder_prob_ = 0.0;
   ChannelAdversary* adversary_ = nullptr;
   Transport* transport_ = nullptr;
   EventLog* event_log_ = nullptr;

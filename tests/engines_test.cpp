@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -72,10 +73,6 @@ std::vector<Rejected> rejected_configs() {
       {"RtScriptedDetector", "Config.detector",
        build<sc::RtScenario>(with(config_for(Engine::kRt),
                                   [](Config& c) { c.detector = DetectorKind::kScripted; }))},
-      {"RtPartitions", "Config.net_mode",
-       build<sc::RtScenario>(with(config_for(Engine::kRt), [](Config& c) {
-         c.net_mode = sc::NetMode::kLossyPartition;
-       }))},
       {"ProcScriptedDetector", "Config.detector",
        build<sc::ProcScenario>(with(config_for(Engine::kProc),
                                     [](Config& c) { c.detector = DetectorKind::kScripted; }))},
@@ -89,6 +86,14 @@ std::vector<Rejected> rejected_configs() {
        build_load(with(config_for(Engine::kSim),
                        [](Config& c) { c.algorithm = Algorithm::kChandyMisra; }))},
       {"LoadOnProcEngine", "LoadConfig.base.engine", build_load(config_for(Engine::kProc))},
+      {"LoadRecoveryOnLossyNetwork", "LoadConfig.base.net_mode",
+       [] {
+         sc::LoadConfig lc;
+         lc.base = with(config_for(Engine::kSim),
+                        [](Config& c) { c.net_mode = sc::NetMode::kLossy; });
+         lc.recoveries = {{2, 1'000, 2'000}};
+         sc::LoadScenario s(lc);
+       }},
   };
 }
 
@@ -132,6 +137,58 @@ const std::set<std::string> kSharedConfigKeys = {"seed",      "engine",    "topo
 /// The documented engine extras of the "config" object.
 const std::set<std::string> kEngineConfigKeys = {"tick_ns", "shards"};
 
+/// The same run on a lossy network whose one cut heals: every engine's
+/// fault model decides each physical send and its ARQ carries the diners.
+Config lossy_partition_config(Engine engine) {
+  Config cfg = cross_engine_config(engine);
+  cfg.net_mode = sc::NetMode::kLossyPartition;
+  cfg.edge_cuts = {{0, 1, 500, 1'200}};
+  return cfg;
+}
+
+/// The reports every engine must give for both Configs.
+template <typename S>
+void expect_clean_reports(S& s) {
+  EXPECT_EQ(s.monitor_agreement(), "");
+  const sc::Books books = s.books();
+  ASSERT_NE(books.monitors, nullptr);
+  EXPECT_TRUE(ekbd::dining::check_exclusion(books.trace, books.graph).violations.empty());
+  EXPECT_TRUE(s.exclusion().violations.empty());
+  const std::vector<ekbd::sim::Time> crash_times = books.crash_times();
+  ASSERT_EQ(crash_times.size(), 6u);
+  EXPECT_GE(crash_times[2], 1'500);
+  EXPECT_EQ(crash_times[0], -1);
+  EXPECT_GT(books.trace.count(ekbd::dining::TraceEventKind::kStartEating), 0u);
+}
+
+template <typename S>
+void check_lossy_engine(Engine engine) {
+  SCOPED_TRACE("lossy+partition");
+  S s(lossy_partition_config(engine));
+  ekbd::sim::EventLog sim_log;  // the sim keeps no log of its own
+  if constexpr (std::is_same_v<S, sc::Scenario>) s.sim().set_event_log(&sim_log);
+  s.run();
+  expect_clean_reports(s);
+  const sc::Books books = s.books();
+  ASSERT_NE(books.event_log, nullptr);
+  std::size_t cut = 0;
+  for (const ekbd::sim::LoggedEvent& ev : books.event_log->events()) {
+    cut += ev.kind == ekbd::sim::LoggedEvent::Kind::kPartitionLoss ? 1 : 0;
+  }
+  EXPECT_GT(cut, 0u) << "the edge cut dropped nothing";
+  EXPECT_GT(books.network.total_sent(ekbd::sim::MsgLayer::kTransport), 0u)
+      << "no ARQ segment crossed the wire";
+  if constexpr (!std::is_same_v<S, sc::ProcScenario>) {
+    // The sim and rt telemetry lines carry the ARQ's counters.
+    (void)s.telemetry_json();
+    ASSERT_NE(s.transport(), nullptr);
+    const auto* sends = s.metrics()->find_counter("arq.logical_sends");
+    ASSERT_NE(sends, nullptr);
+    EXPECT_GT(sends->get(), 0u);
+    EXPECT_EQ(sends->get(), s.transport()->logical_sends());
+  }
+}
+
 template <typename S>
 void check_engine(Engine engine) {
   const std::string path =
@@ -144,16 +201,7 @@ void check_engine(Engine engine) {
       {cross_engine_config(engine)},
       [&](std::size_t, S& s) {
         ++inspected;
-        EXPECT_EQ(s.monitor_agreement(), "");
-        const sc::Books books = s.books();
-        ASSERT_NE(books.monitors, nullptr);
-        EXPECT_TRUE(ekbd::dining::check_exclusion(books.trace, books.graph).violations.empty());
-        EXPECT_TRUE(s.exclusion().violations.empty());
-        const std::vector<ekbd::sim::Time> crash_times = books.crash_times();
-        ASSERT_EQ(crash_times.size(), 6u);
-        EXPECT_GE(crash_times[2], 1'500);
-        EXPECT_EQ(crash_times[0], -1);
-        EXPECT_GT(books.trace.count(ekbd::dining::TraceEventKind::kStartEating), 0u);
+        expect_clean_reports(s);
       },
       opt);
   EXPECT_EQ(inspected, 1u);
@@ -175,6 +223,8 @@ void check_engine(Engine engine) {
   ASSERT_NE(doc->find("monitors"), nullptr);
   EXPECT_TRUE(doc->find("monitors")->find("clean")->boolean);
   std::remove(path.c_str());
+
+  check_lossy_engine<S>(engine);
 }
 
 TEST(CrossEngine, SimBooksAgree) { check_engine<sc::Scenario>(Engine::kSim); }

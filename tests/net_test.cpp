@@ -12,6 +12,7 @@
 #include "net/link_fault_model.hpp"
 #include "net/reliable_transport.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/delay_model.hpp"
 #include "sim/event_log.hpp"
 #include "sim/simulator.hpp"
 
@@ -214,6 +215,45 @@ TEST(ReliableTransport, EqualSeedsProduceIdenticalDeliverySchedules) {
   EXPECT_EQ(a.times, b.times);
   EXPECT_EQ(a.retransmissions, b.retransmissions);
   EXPECT_EQ(a.physical_data_sends, b.physical_data_sends);
+}
+
+// A lost head segment is resent as soon as the receiver acks a later one,
+// not when the retransmission timer fires: the duplicate ack says the
+// receiver still waits for the head. A healed partition leaves the timer
+// backed off to rto_max, so waiting for it could starve the diners.
+TEST(ReliableTransport, DuplicateAckForTheHeadResendsItAtOnce) {
+  /// Drops the first physical segment 0 sends (data segment 0) and
+  /// nothing else.
+  class DropFirstData final : public ekbd::sim::ChannelAdversary {
+   public:
+    FaultDecision on_send(ProcessId from, ProcessId, MsgLayer layer, Time) override {
+      FaultDecision d;
+      d.drop = !dropped_ && from == 0 && layer == MsgLayer::kTransport;
+      dropped_ = dropped_ || d.drop;
+      return d;
+    }
+
+   private:
+    bool dropped_ = false;
+  };
+
+  Simulator sim(1, ekbd::sim::make_fixed_delay(5));
+  sim.make_actor<IntSink>();
+  IntSink* sink = sim.make_actor<IntSink>();
+  DropFirstData adversary;
+  sim.set_adversary(&adversary);
+  ReliableTransport::Params params;
+  params.rto_initial = 1'000;
+  params.rto_max = 1'000;
+  ReliableTransport arq(sim, params);
+  sim.start();
+  sim.schedule(1, [&sim] { sim.send(0, 1, 0, MsgLayer::kOther); });
+  sim.schedule(2, [&sim] { sim.send(0, 1, 1, MsgLayer::kOther); });
+  sim.run_until(2'500);
+
+  ASSERT_EQ(sink->got, (std::vector<int>{0, 1}));
+  EXPECT_LT(sink->times[0], 100) << "the head waited for the retransmission timer";
+  EXPECT_EQ(arq.retransmissions(), 1u);
 }
 
 TEST(ReliableTransport, DetectorLayerStaysRaw) {

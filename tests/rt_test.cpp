@@ -396,7 +396,7 @@ ekbd::scenario::Config rt_config(std::uint64_t seed) {
 // crash victims' neighbors keep eating (wait-freedom past the fault).
 TEST(RtScenarioTest, CrashFaultedLossyDiningOnEightThreads) {
   ekbd::scenario::Config cfg = rt_config(42);
-  cfg.net_mode = ekbd::scenario::NetMode::kLossy;  // detector-layer drop/dup
+  cfg.net_mode = ekbd::scenario::NetMode::kLossy;  // drop/dup under the ARQ
   cfg.crashes = {{2, 800}, {5, 1'200}};
   ekbd::scenario::RtScenario s(cfg);
   s.run();
@@ -409,7 +409,7 @@ TEST(RtScenarioTest, CrashFaultedLossyDiningOnEightThreads) {
   const auto wf = s.wait_freedom(/*starvation_horizon=*/1'500);
   EXPECT_GT(wf.sessions_completed, 0u);
   // P1 holds outright (fork uniqueness is crash- and loss-proof here:
-  // forks ride the reliable dining channels).
+  // forks ride the ARQ's reliable FIFO channels).
   EXPECT_TRUE(s.monitors()->forks().violations().empty());
 }
 
@@ -540,11 +540,11 @@ TEST(RtReplayTest, ReplayReproducesLiveMonitorVerdicts) {
 
 // ------------------------------------------------------------ ARQ over rt
 
-// Regression for the FaultParams::include_dining gap: with an RtArq
-// installed, dining traffic rides the ARQ while the drop/dup coins attack
-// its physical kTransport segments — so the faults finally reach the
-// dining layer on the rt engine without violating the paper's reliable-
-// channel assumption, and the monitors must stay in full agreement.
+// The rt lossy network, wired by hand: with an RtArq installed, dining
+// traffic rides the ARQ while the senders' fault models attack its
+// physical kTransport segments, so the faults reach the dining layer
+// without violating the paper's reliable-channel assumption, and the
+// monitors must stay in full agreement.
 TEST(RtArqTest, DiningTrafficRidesArqUnderDropDupCoins) {
   const ekbd::graph::ConflictGraph g = ekbd::graph::ring(6);
   const ekbd::graph::Coloring colors = ekbd::graph::welsh_powell_coloring(g);
@@ -560,9 +560,8 @@ TEST(RtArqTest, DiningTrafficRidesArqUnderDropDupCoins) {
   ekbd::rt::Options opt;
   opt.seed = 606;
   opt.tick_ns = 100'000;
-  opt.faults.drop_prob = 0.15;
-  opt.faults.dup_prob = 0.1;
-  opt.faults.include_dining = true;  // the knob under test
+  opt.link_faults.drop_prob = 0.15;
+  opt.link_faults.dup_prob = 0.1;
   ekbd::rt::Runtime rt(opt, rec);
   const ekbd::rt::RtPerfectDetector detector(rt);
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "net/link_fault_model.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/simulator.hpp"
 
@@ -348,7 +349,8 @@ TEST(Network, MaxInTransitAnyScansAllPairs) {
 
 TEST(ChannelFaults, DuplicationDeliversTwice) {
   Simulator sim(1, ekbd::sim::make_fixed_delay(5));
-  sim.set_channel_faults(/*dup=*/1.0, /*reorder=*/0.0);
+  ekbd::net::LinkFaultModel faults(1, {.dup_prob = 1.0});
+  sim.set_adversary(&faults);
   auto* a = sim.make_actor<Recorder>();
   auto* b = sim.make_actor<Recorder>();
   sim.start();
@@ -361,7 +363,8 @@ TEST(ChannelFaults, ReorderingViolatesFifo) {
   // With reorder probability 1 and wildly variable delays, some later
   // message must arrive before an earlier one (that's the point).
   Simulator sim(5, ekbd::sim::make_uniform_delay(1, 60));
-  sim.set_channel_faults(0.0, /*reorder=*/1.0);
+  ekbd::net::LinkFaultModel faults(5, {.reorder_prob = 1.0});
+  sim.set_adversary(&faults);
   auto* a = sim.make_actor<Recorder>();
   auto* b = sim.make_actor<Recorder>();
   sim.start();
