@@ -43,7 +43,7 @@ using scenario::Scenario;
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
+[[noreturn]] void usage(const char* argv0, int status = 2) {
   std::printf(
       "usage: %s [options]\n"
       "  --topology NAME      ring|path|clique|star|grid|tree|random|sparse|\n"
@@ -101,12 +101,13 @@ namespace {
       "  --gantt              print the schedule as an ASCII Gantt chart\n"
       "  --gantt-width W      chart width in columns (default 100)\n"
       "  --dump FILE          write the execution trace as JSON lines\n"
+      "  --help               print this text and exit\n"
       "\n"
       "Flags are validated against the selected engine: an engine-specific\n"
       "flag combined with a different --engine is an error (this usage), not\n"
       "a silent fallback.\n",
       argv0);
-  std::exit(2);
+  std::exit(status);
 }
 
 bool parse_pair(const char* s, long long& a, long long& b, char sep) {
@@ -495,6 +496,8 @@ int main(int argc, char** argv) {
       gantt_width = static_cast<int>(std::strtol(next(), nullptr, 10));
     } else if (arg == "--dump") {
       dump_path = next();
+    } else if (arg == "--help" || arg == "-h") {
+      usage(argv[0], 0);
     } else {
       usage(argv[0]);
     }
@@ -554,13 +557,14 @@ int main(int argc, char** argv) {
               static_cast<long long>(cfg.run_for));
 
   // Run on the selected engine; everything after the run reads the books.
-  // A Config the engine cannot run (scenario::validate) is a usage error.
+  // A Config the engine cannot run (scenario::validate) is a usage error:
+  // its one-line reason, not the whole usage screen.
   const auto build = [&](auto make) {
     try {
       return make();
     } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      usage(argv[0]);
+      std::fprintf(stderr, "error: %s\n(run %s --help for the options)\n", e.what(), argv[0]);
+      std::exit(2);
     }
   };
   std::unique_ptr<scenario::Reports> run;

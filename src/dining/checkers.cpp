@@ -1,6 +1,9 @@
 #include "dining/checkers.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -83,30 +86,150 @@ ExclusionReport check_exclusion(const Trace& trace, const ConflictGraph& g) {
   return report;
 }
 
+namespace {
+
+/// Response ticks of completed sessions, kept as a count per tick value.
+/// Values outside [0, kDenseTicks) — a nanosecond-tick engine's waits, or
+/// a negative one from a damaged trace — are kept aside and sorted once.
+/// summarize() walks the sample in ascending order and accumulates exactly
+/// as util::summarize does over the sorted sample, so every field comes
+/// out bit-identical without sorting the sample.
+class ResponseTicks {
+ public:
+  void add(Time t) {
+    ++count_;
+    if (t < 0 || t >= kDenseTicks) {
+      others_.push_back(t);
+      return;
+    }
+    const auto v = static_cast<std::size_t>(t);
+    if (v >= dense_.size()) dense_.resize(v + 1, 0);
+    ++dense_[v];
+  }
+
+  ekbd::util::Summary summarize() {
+    ekbd::util::Summary s;
+    if (count_ == 0) return s;
+    std::sort(others_.begin(), others_.end());
+    negatives_ = static_cast<std::size_t>(
+        std::lower_bound(others_.begin(), others_.end(), Time{0}) - others_.begin());
+    s.count = count_;
+    double sum = 0.0;
+    for_each_ascending([&](double x) { sum += x; });
+    s.mean = sum / static_cast<double>(s.count);
+    double var = 0.0;
+    for_each_ascending([&](double x) { var += (x - s.mean) * (x - s.mean); });
+    s.stddev = std::sqrt(var / static_cast<double>(s.count));
+    // Nearest rank, as util::summarize: the sample's idx-th smallest value.
+    const auto rank = [&](double q) {
+      auto idx = static_cast<std::size_t>(std::ceil(q * static_cast<double>(s.count)));
+      if (idx > 0) --idx;
+      return value_at(std::min(idx, s.count - 1));
+    };
+    s.min = value_at(0);
+    s.max = value_at(s.count - 1);
+    s.p50 = rank(0.50);
+    s.p95 = rank(0.95);
+    s.p99 = rank(0.99);
+    s.p999 = rank(0.999);
+    return s;
+  }
+
+ private:
+  static constexpr Time kDenseTicks = Time{1} << 16;
+
+  /// Call fn(x) once per sample, in ascending order.
+  template <typename Fn>
+  void for_each_ascending(Fn&& fn) const {
+    for (std::size_t i = 0; i < negatives_; ++i) fn(static_cast<double>(others_[i]));
+    for (std::size_t v = 0; v < dense_.size(); ++v) {
+      const auto x = static_cast<double>(v);
+      for (std::uint64_t c = dense_[v]; c > 0; --c) fn(x);
+    }
+    for (std::size_t i = negatives_; i < others_.size(); ++i) {
+      fn(static_cast<double>(others_[i]));
+    }
+  }
+
+  /// The idx-th smallest sample (0-based).
+  [[nodiscard]] double value_at(std::size_t idx) const {
+    if (idx < negatives_) return static_cast<double>(others_[idx]);
+    idx -= negatives_;
+    for (std::size_t v = 0; v < dense_.size(); ++v) {
+      if (idx < dense_[v]) return static_cast<double>(v);
+      idx -= dense_[v];
+    }
+    return static_cast<double>(others_[negatives_ + idx]);
+  }
+
+  std::vector<std::uint64_t> dense_;
+  std::vector<Time> others_;
+  std::size_t negatives_ = 0;  ///< leading negative values of the sorted others_
+  std::size_t count_ = 0;
+};
+
+}  // namespace
+
 WaitFreedomReport check_wait_freedom(const Trace& trace,
                                      const std::vector<Time>& crash_times,
                                      Time starvation_horizon) {
+  // One pass over the trace, with the session rules of hungry_sessions():
+  // a session opens at kBecameHungry and closes at the owner's next
+  // kStartEating (completed) or kCrashed; one still open at the end is
+  // clipped at the trace horizon.
+  constexpr Time kClosed = std::numeric_limits<Time>::min();
   WaitFreedomReport report;
-  std::vector<double> responses;
-  std::unordered_set<ProcessId> starving_set;
+  ResponseTicks responses;
+  std::vector<Time> hungry_since;  // per process: open session's start, or kClosed
+  std::vector<std::uint8_t> starving;
+  const auto correct = [&](std::size_t p) {
+    return p >= crash_times.size() || crash_times[p] < 0;
+  };
+  // A session that never started eating nor crashed, cut at `ended`.
+  const auto cut = [&](std::size_t p, Time became_hungry, Time ended) {
+    if (correct(p) && ended - became_hungry >= starvation_horizon) {
+      if (p >= starving.size()) starving.resize(p + 1, 0);
+      starving[p] = 1;
+    }
+  };
 
-  for (const HungrySession& s : hungry_sessions(trace)) {
-    ++report.sessions_total;
-    const bool correct =
-        static_cast<std::size_t>(s.process) >= crash_times.size() ||
-        crash_times[static_cast<std::size_t>(s.process)] < 0;
-    if (s.completed()) {
-      ++report.sessions_completed;
-      if (correct) responses.push_back(static_cast<double>(s.response_time()));
-    } else if (s.crashed_during) {
-      ++report.sessions_crashed;
-    } else if (correct && s.ended - s.became_hungry >= starvation_horizon) {
-      starving_set.insert(s.process);
+  for (const TraceEvent& e : trace.events()) {
+    const auto p = static_cast<std::size_t>(e.process);
+    switch (e.kind) {
+      case TraceEventKind::kBecameHungry:
+        assert(e.process >= 0);
+        ++report.sessions_total;
+        if (p >= hungry_since.size()) hungry_since.resize(p + 1, kClosed);
+        // A session left open by a second hunger never ends: it keeps
+        // hungry_sessions()'s `ended` of -1.
+        if (hungry_since[p] != kClosed) cut(p, hungry_since[p], -1);
+        hungry_since[p] = e.at;
+        break;
+      case TraceEventKind::kStartEating:
+        if (p < hungry_since.size() && hungry_since[p] != kClosed) {
+          ++report.sessions_completed;
+          if (correct(p)) responses.add(e.at - hungry_since[p]);
+          hungry_since[p] = kClosed;
+        }
+        break;
+      case TraceEventKind::kCrashed:
+        if (p < hungry_since.size() && hungry_since[p] != kClosed) {
+          ++report.sessions_crashed;
+          hungry_since[p] = kClosed;
+        }
+        break;
+      default:
+        break;
     }
   }
-  report.starving.assign(starving_set.begin(), starving_set.end());
-  std::sort(report.starving.begin(), report.starving.end());
-  report.response = ekbd::util::summarize(responses);
+  const Time horizon = trace.end_time();
+  for (std::size_t p = 0; p < hungry_since.size(); ++p) {
+    if (hungry_since[p] != kClosed) cut(p, hungry_since[p], horizon);
+  }
+  for (std::size_t p = 0; p < starving.size(); ++p) {
+    if (starving[p] != 0) report.starving.push_back(static_cast<ProcessId>(p));
+  }
+  report.response = responses.summarize();
   return report;
 }
 

@@ -71,6 +71,7 @@ std::string Trace::to_string(std::size_t max_events) const {
 std::vector<HungrySession> hungry_sessions(const Trace& trace) {
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<HungrySession> out;
+  out.reserve(trace.count(TraceEventKind::kBecameHungry));
   // Open session per process id (index into `out`), kNone if none.
   std::vector<std::size_t> open;
   const auto open_of = [&](ProcessId p) {

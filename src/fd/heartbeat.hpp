@@ -19,8 +19,8 @@
 /// algorithm code oracle-agnostic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "fd/detector.hpp"
@@ -42,6 +42,8 @@ class HeartbeatModule final : public FdModule {
     Time timeout_increment = 20; ///< additive bump on each false suspicion
   };
 
+  /// \param neighbors distinct ids (a conflict graph's sorted adjacency);
+  ///        kept sorted, so a lookup is a binary search over the degree.
   HeartbeatModule(std::vector<ProcessId> neighbors, Params params);
 
   /// Arms the periodic timer and sends the first round of heartbeats.
@@ -74,10 +76,13 @@ class HeartbeatModule final : public FdModule {
   };
 
   void tick(ModuleHost& host);
+  /// `target`'s position in neighbors_ and state_, or neighbors_.size()
+  /// for a non-neighbour.
+  [[nodiscard]] std::size_t index_of(ProcessId target) const;
 
   std::vector<ProcessId> neighbors_;
   Params params_;
-  std::unordered_map<ProcessId, NeighborState> state_;
+  std::vector<NeighborState> state_;  ///< parallel to neighbors_
   ekbd::sim::TimerId tick_timer_ = 0;
   std::uint64_t false_suspicions_ = 0;
   Time last_retraction_ = 0;
@@ -100,7 +105,7 @@ class HeartbeatDetector final : public FailureDetector {
   [[nodiscard]] Time last_retraction() const;
 
  private:
-  std::unordered_map<ProcessId, const HeartbeatModule*> modules_;
+  std::vector<const HeartbeatModule*> modules_;  ///< by owner; nullptr: unattached
 };
 
 }  // namespace ekbd::fd

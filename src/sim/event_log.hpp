@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
 
 #include "sim/message.hpp"
 #include "sim/time.hpp"
@@ -62,6 +62,12 @@ class EventSink {
 
 /// Ring-buffer-less append log. For long runs prefer installing only
 /// around the window of interest (set_event_log(nullptr) detaches).
+///
+/// Events live in a std::deque: fixed-size blocks, so an append never
+/// copies what the log already holds. A doubling vector would, in one
+/// pass over the whole log with the old and the new buffer both
+/// resident — on a long rt run that pass stalls the collector and its
+/// transient sets the process's peak memory.
 class EventLog {
  public:
   /// Keep at most `cap` events (0 = unbounded). When full, appends are
@@ -79,7 +85,7 @@ class EventLog {
     events_.push_back(ev);
   }
 
-  [[nodiscard]] const std::vector<LoggedEvent>& events() const { return events_; }
+  [[nodiscard]] const std::deque<LoggedEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool truncated() const { return truncated_; }
   /// Appends refused because the log was at capacity.
@@ -107,7 +113,7 @@ class EventLog {
   std::size_t cap_;
   bool truncated_ = false;
   std::uint64_t dropped_ = 0;
-  std::vector<LoggedEvent> events_;
+  std::deque<LoggedEvent> events_;
 };
 
 }  // namespace ekbd::sim

@@ -8,61 +8,55 @@ namespace {
 int layer_index(MsgLayer layer) { return static_cast<int>(layer); }
 }  // namespace
 
-void Network::grow_dense(int need) {
-  int stride = dense_stride_ == 0 ? 16 : dense_stride_;
-  while (stride <= need) stride *= 2;
-  std::vector<DirState> grown(static_cast<std::size_t>(stride) *
-                              static_cast<std::size_t>(stride));
-  for (int f = 0; f < dense_stride_; ++f) {
-    for (int t = 0; t < dense_stride_; ++t) {
-      grown[static_cast<std::size_t>(f) * static_cast<std::size_t>(stride) +
-            static_cast<std::size_t>(t)] =
-          dense_dir_[static_cast<std::size_t>(f) * static_cast<std::size_t>(dense_stride_) +
-                     static_cast<std::size_t>(t)];
-    }
+std::uint32_t Network::add_pair(ProcessId from, ProcessId to) {
+  const auto pair = static_cast<std::uint32_t>(pairs_.size());
+  pairs_.emplace_back();
+  if (!has_row(from) || !has_row(to)) {
+    spill_.emplace(pair_key(from, to), pair);
+    return pair;
   }
-  dense_dir_ = std::move(grown);
-  dense_stride_ = stride;
+  const auto link = [&](ProcessId a, ProcessId b) {
+    const auto row_of = static_cast<std::size_t>(a);
+    if (row_of >= rows_.size()) rows_.resize(row_of + 1);
+    std::vector<Link>& row = rows_[row_of];
+    row.insert(row.begin() + static_cast<std::ptrdiff_t>(lower_bound(row, b)), Link{b, pair});
+  };
+  link(from, to);
+  if (from != to) link(to, from);
+  return pair;
+}
+
+Network::PerTarget& Network::grow_target(int li, ProcessId to) {
+  if (!has_row(to)) return target_spill_[li][to];
+  per_target_[li].resize(static_cast<std::size_t>(to) + 1);
+  return per_target_[li][static_cast<std::size_t>(to)];
+}
+
+const Network::PerTarget* Network::find_target(int li, ProcessId to) const {
+  if (has_row(to)) {
+    const std::vector<PerTarget>& books = per_target_[li];
+    return static_cast<std::size_t>(to) < books.size() ? &books[static_cast<std::size_t>(to)]
+                                                        : nullptr;
+  }
+  const auto it = target_spill_[li].find(to);
+  return it == target_spill_[li].end() ? nullptr : &it->second;
 }
 
 std::uint64_t Network::logical_sent(ProcessId from, ProcessId to, MsgLayer layer, Time now,
                                     bool target_crashed) {
-  const int li = layer_index(layer);
-  ++totals_[li];
-  ChannelStats& cs = pair_stats_[li][pair_key(from, to)];
-  ++cs.total;
-  ++cs.in_transit;
-  const bool high = cs.in_transit > cs.max_in_transit;
-  if (high) cs.max_in_transit = cs.in_transit;
-
-  PerTarget& pt = per_target_[li][to];
-  pt.last_send = now;
-  if (target_crashed) ++pt.after_crash;
-
-  if (watch_ != nullptr) {
-    watch_->on_send(layer, from, to, now, target_crashed);
-    if (high) watch_->on_high_water(layer, from, to, cs.in_transit, now);
-  }
+  count_send(books(from, to), layer, from, to, now, target_crashed);
   return next_seq_++;
 }
 
-void Network::logical_delivered(ProcessId from, ProcessId to, MsgLayer layer) {
-  const int li = layer_index(layer);
-  auto it = pair_stats_[li].find(pair_key(from, to));
-  if (it != pair_stats_[li].end()) --it->second.in_transit;
-}
-
 ChannelStats Network::channel(ProcessId a, ProcessId b, MsgLayer layer) const {
-  const auto& map = pair_stats_[layer_index(layer)];
-  auto it = map.find(pair_key(a, b));
-  return it == map.end() ? ChannelStats{} : it->second;
+  const std::uint32_t pair = find_pair(a, b);
+  return pair == kNoPair ? ChannelStats{} : pairs_[pair].stats[layer_index(layer)];
 }
 
 int Network::max_in_transit_any(MsgLayer layer) const {
   int best = 0;
-  for (const auto& [k, cs] : pair_stats_[layer_index(layer)]) {
-    best = std::max(best, cs.max_in_transit);
-  }
+  const int li = layer_index(layer);
+  for (const PairBooks& pb : pairs_) best = std::max(best, pb.stats[li].max_in_transit);
   return best;
 }
 
@@ -71,30 +65,44 @@ std::uint64_t Network::total_sent(MsgLayer layer) const {
 }
 
 Time Network::last_send_to(ProcessId target, MsgLayer layer) const {
-  const auto& map = per_target_[layer_index(layer)];
-  auto it = map.find(target);
-  return it == map.end() ? -1 : it->second.last_send;
+  const PerTarget* pt = find_target(layer_index(layer), target);
+  return pt == nullptr ? -1 : pt->last_send;
 }
 
 std::uint64_t Network::sends_to_crashed(ProcessId target, MsgLayer layer) const {
-  const auto& map = per_target_[layer_index(layer)];
-  auto it = map.find(target);
-  return it == map.end() ? 0 : it->second.after_crash;
+  const PerTarget* pt = find_target(layer_index(layer), target);
+  return pt == nullptr ? 0 : pt->after_crash;
 }
 
 void Network::for_each_pair(
     MsgLayer layer,
     const std::function<void(ProcessId, ProcessId, const ChannelStats&)>& fn) const {
-  const auto& map = pair_stats_[layer_index(layer)];
-  std::vector<std::uint64_t> keys;
-  keys.reserve(map.size());
-  for (const auto& [k, cs] : map) keys.push_back(k.key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const auto a = static_cast<ProcessId>(key >> 32);
-    const auto b = static_cast<ProcessId>(key & 0xFFFFFFFFu);
-    fn(a, b, map.at(PairKey{key}));
+  const int li = layer_index(layer);
+  // Rows in sender order, each sorted by receiver, give the pairs in
+  // ascending pair-key order with no sort; spilled pairs (sorted by the
+  // same key) merge in. A kNoProcess end sign-extends into the key's high
+  // word, so those pairs come last.
+  auto spill = spill_.begin();
+  const auto visit_spill_until = [&](auto done) {
+    for (; spill != spill_.end() && !done(spill->first); ++spill) {
+      const ChannelStats& cs = pairs_[spill->second].stats[li];
+      if (cs.total != 0) {
+        fn(static_cast<ProcessId>(spill->first >> 32),
+           static_cast<ProcessId>(spill->first & 0xFFFFFFFFu), cs);
+      }
+    }
+  };
+  for (std::size_t a = 0; a < rows_.size(); ++a) {
+    const auto lo = static_cast<ProcessId>(a);
+    for (const Link& l : rows_[a]) {
+      const ChannelStats& cs = pairs_[l.pair].stats[li];
+      if (l.to < lo || cs.total == 0) continue;
+      const std::uint64_t key = pair_key(lo, l.to);
+      visit_spill_until([key](std::uint64_t k) { return k > key; });
+      fn(lo, l.to, cs);
+    }
   }
+  visit_spill_until([](std::uint64_t) { return false; });
 }
 
 }  // namespace ekbd::sim

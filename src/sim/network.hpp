@@ -12,9 +12,10 @@
 ///  * quiescence — dining traffic towards a crashed process stops.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -112,12 +113,13 @@ class Network {
 
   /// How many distinct undirected pairs ever communicated on `layer`.
   [[nodiscard]] std::size_t active_pairs(MsgLayer layer) const {
-    return pair_stats_[static_cast<int>(layer)].size();
+    return active_pairs_[static_cast<int>(layer)];
   }
 
   /// Visit every undirected pair that communicated on `layer`, in
   /// ascending (a, b) order (deterministic — snapshot/agreement code
-  /// iterates this). a < b in every callback.
+  /// iterates this). a <= b in every callback; a pair with a kNoProcess
+  /// end comes last, as (kNoProcess, b).
   void for_each_pair(MsgLayer layer,
                      const std::function<void(ProcessId a, ProcessId b,
                                               const ChannelStats&)>& fn) const;
@@ -130,139 +132,153 @@ class Network {
  private:
   static constexpr int kLayers = kNumMsgLayers;
 
-  struct PairKey {
-    std::uint64_t key;
-    bool operator==(const PairKey& o) const { return key == o.key; }
+  /// The books of one undirected pair {lo, hi}: each direction's FIFO
+  /// horizon (the latest deliver_at handed out) and the occupancy on
+  /// every layer. A layer's entry counts as present once `total` > 0.
+  struct PairBooks {
+    Time horizon[2] = {0, 0};  ///< [0]: lo → hi, [1]: hi → lo
+    ChannelStats stats[kLayers] = {};
   };
-  struct PairKeyHash {
-    std::size_t operator()(const PairKey& k) const {
-      return std::hash<std::uint64_t>{}(k.key);
-    }
+  /// One receiver in a sender's row.
+  struct Link {
+    ProcessId to;
+    std::uint32_t pair;  ///< index into pairs_
   };
-  static PairKey pair_key(ProcessId a, ProcessId b) {
-    auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-    auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-    return PairKey{(lo << 32) | hi};
-  }
-  static PairKey dir_key(ProcessId from, ProcessId to) {
-    return PairKey{(static_cast<std::uint64_t>(from) << 32) |
-                   static_cast<std::uint64_t>(to)};
-  }
 
   struct PerTarget {
     Time last_send = -1;
     std::uint64_t after_crash = 0;
   };
 
-  /// Hot-path state of one *directed* channel: the FIFO horizon (latest
-  /// deliver_at handed out) plus cached pointers into the undirected
-  /// occupancy and per-target quiescence books. unordered_map nodes are
-  /// reference-stable, so after the first send on a (direction, layer)
-  /// pair, stamp() and delivered() each cost a single hash lookup instead
-  /// of three.
-  struct DirState {
-    Time horizon = 0;
-    ChannelStats* stats[kLayers] = {};
-    PerTarget* target[kLayers] = {};
-  };
+  static std::uint64_t pair_key(ProcessId a, ProcessId b) {
+    auto lo = static_cast<std::uint64_t>(a < b ? a : b);
+    auto hi = static_cast<std::uint64_t>(a < b ? b : a);
+    return (lo << 32) | hi;
+  }
 
-  /// Hot-path lookup of the directed-channel state. The simulator numbers
-  /// processes densely (0, 1, 2, ...), so for every realistic run the
-  /// state lives in a flat stride×stride array — one indexed load, no
-  /// hashing, no node chase. Ids beyond kDenseLimit (none exist today)
-  /// fall back to the hash map so correctness never depends on the cap.
-  DirState& dir_state(ProcessId from, ProcessId to);
-  [[nodiscard]] const DirState* find_dir_state(ProcessId from, ProcessId to) const;
-  void grow_dense(int need);
-
-  static constexpr int kDenseLimit = 512;
+  static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
+  /// Ids that get a row and a per-target slot. kNoProcess, and an id no
+  /// engine hands out but a damaged log record can carry, spill instead
+  /// of sizing the dense books by it.
+  static constexpr std::uint32_t kRowIds = 1U << 20;
+  static bool has_row(ProcessId p) { return static_cast<std::uint32_t>(p) < kRowIds; }
+  /// Index of the pair's books in pairs_, or kNoPair if it never
+  /// communicated.
+  [[nodiscard]] std::uint32_t find_pair(ProcessId from, ProcessId to) const;
+  /// The pair's books, created (in both ends' rows) on first use.
+  PairBooks& books(ProcessId from, ProcessId to) {
+    const std::uint32_t pair = find_pair(from, to);
+    return pairs_[pair != kNoPair ? pair : add_pair(from, to)];
+  }
+  std::uint32_t add_pair(ProcessId from, ProcessId to);
+  /// Position of the first receiver >= `to` in `row` (row.size() if none).
+  static std::size_t lower_bound(const std::vector<Link>& row, ProcessId to);
+  PerTarget& target(int li, ProcessId to) {
+    std::vector<PerTarget>& books = per_target_[li];
+    if (static_cast<std::uint32_t>(to) < books.size()) {
+      return books[static_cast<std::size_t>(to)];
+    }
+    return grow_target(li, to);
+  }
+  PerTarget& grow_target(int li, ProcessId to);
+  [[nodiscard]] const PerTarget* find_target(int li, ProcessId to) const;
+  /// Book one send on `layer` of the pair `pb`; shared by stamp() and
+  /// logical_sent().
+  void count_send(PairBooks& pb, MsgLayer layer, ProcessId from, ProcessId to, Time now,
+                  bool target_crashed);
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t totals_[kLayers] = {};
-  // Dense directed-channel state: row stride (power of two) and the
-  // stride×stride cell array. Grows geometrically with the largest id
-  // seen; cells are re-indexed on growth (their cached pointers are
-  // node-stable, so a plain copy is safe).
-  int dense_stride_ = 0;
-  std::vector<DirState> dense_dir_;
-  // Spill map for ids past kDenseLimit.
-  std::unordered_map<PairKey, DirState, PairKeyHash> dir_state_;
-  // Occupancy per undirected pair and layer.
-  std::unordered_map<PairKey, ChannelStats, PairKeyHash> pair_stats_[kLayers];
-  // Quiescence books per target process and layer.
-  std::unordered_map<ProcessId, PerTarget> per_target_[kLayers];
+  std::size_t active_pairs_[kLayers] = {};
+  /// Per sender, its receivers sorted by id: a binary search over the
+  /// sender's degree finds a channel, with no hashing. A pair sits in
+  /// both ends' rows.
+  std::vector<std::vector<Link>> rows_;
+  std::vector<PairBooks> pairs_;
+  /// Pairs with an end outside the rows (see kRowIds), by pair key.
+  std::map<std::uint64_t, std::uint32_t> spill_;
+  /// Quiescence books per layer, by target id; targets without a row spill.
+  std::vector<PerTarget> per_target_[kLayers];
+  std::map<ProcessId, PerTarget> target_spill_[kLayers];
   NetworkWatch* watch_ = nullptr;
 };
 
 // -- hot-path definitions (inline: once per message event, the calls
 // must vanish into the simulator's send/deliver paths) -----------------
 
-inline Network::DirState& Network::dir_state(ProcessId from, ProcessId to) {
-  const ProcessId hi = from > to ? from : to;
-  if (from >= 0 && to >= 0 && hi < kDenseLimit) {
-    if (hi >= dense_stride_) grow_dense(hi);
-    return dense_dir_[static_cast<std::size_t>(from) * static_cast<std::size_t>(dense_stride_) +
-                      static_cast<std::size_t>(to)];
+inline std::size_t Network::lower_bound(const std::vector<Link>& row, ProcessId to) {
+  // Branch-free halving: the select compiles to a conditional move, so a
+  // search costs log2(degree) dependent loads and no mispredicted jumps.
+  if (row.empty()) return 0;
+  std::size_t base = 0;
+  std::size_t n = row.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = row[base + half].to < to ? base + half : base;
+    n -= half;
   }
-  return dir_state_[dir_key(from, to)];
+  return base + (row[base].to < to ? 1 : 0);
 }
 
-inline const Network::DirState* Network::find_dir_state(ProcessId from, ProcessId to) const {
-  const ProcessId hi = from > to ? from : to;
-  if (from >= 0 && to >= 0 && hi < kDenseLimit) {
-    if (hi >= dense_stride_) return nullptr;
-    return &dense_dir_[static_cast<std::size_t>(from) *
-                           static_cast<std::size_t>(dense_stride_) +
-                       static_cast<std::size_t>(to)];
+inline std::uint32_t Network::find_pair(ProcessId from, ProcessId to) const {
+  if (has_row(from) && has_row(to)) {
+    if (static_cast<std::size_t>(from) >= rows_.size()) return kNoPair;
+    const std::vector<Link>& row = rows_[static_cast<std::size_t>(from)];
+    const std::size_t i = lower_bound(row, to);
+    return i < row.size() && row[i].to == to ? row[i].pair : kNoPair;
   }
-  const auto it = dir_state_.find(dir_key(from, to));
-  return it == dir_state_.end() ? nullptr : &it->second;
+  const auto it = spill_.find(pair_key(from, to));
+  return it == spill_.end() ? kNoPair : it->second;
+}
+
+inline void Network::count_send(PairBooks& pb, MsgLayer layer, ProcessId from, ProcessId to,
+                                Time now, bool target_crashed) {
+  const int li = static_cast<int>(layer);
+  ++totals_[li];
+  ChannelStats& cs = pb.stats[li];
+  if (cs.total++ == 0) ++active_pairs_[li];
+  ++cs.in_transit;
+  const bool high = cs.in_transit > cs.max_in_transit;
+  if (high) cs.max_in_transit = cs.in_transit;
+
+  PerTarget& pt = target(li, to);
+  pt.last_send = now;
+  if (target_crashed) ++pt.after_crash;
+
+  if (watch_ != nullptr) {
+    watch_->on_send(layer, from, to, now, target_crashed);
+    if (high) watch_->on_high_water(layer, from, to, cs.in_transit, now);
+  }
 }
 
 inline void Network::stamp(Message& m, Time now, Time latency, bool target_crashed,
                            bool fifo) {
   latency = latency < 1 ? 1 : latency;
   Time deliver_at = now + latency;
-  DirState& d = dir_state(m.from, m.to);
+  PairBooks& pb = books(m.from, m.to);
   if (fifo) {
-    if (deliver_at < d.horizon) deliver_at = d.horizon;  // FIFO: never undercut
-    d.horizon = deliver_at;
+    Time& horizon = pb.horizon[m.from < m.to ? 0 : 1];
+    if (deliver_at < horizon) deliver_at = horizon;  // FIFO: never undercut
+    horizon = deliver_at;
   }
 
   m.sent_at = now;
   m.deliver_at = deliver_at;
   m.seq = next_seq_++;
-
-  const int li = static_cast<int>(m.layer);
-  if (d.stats[li] == nullptr) {
-    // First send on this (direction, layer): resolve and cache the book
-    // entries (node-based maps — the pointers stay valid forever).
-    d.stats[li] = &pair_stats_[li][pair_key(m.from, m.to)];
-    d.target[li] = &per_target_[li][m.to];
-  }
-  ++totals_[li];
-  ChannelStats& cs = *d.stats[li];
-  ++cs.total;
-  ++cs.in_transit;
-  const bool high = cs.in_transit > cs.max_in_transit;
-  if (high) cs.max_in_transit = cs.in_transit;
-
-  PerTarget& pt = *d.target[li];
-  pt.last_send = now;
-  if (target_crashed) ++pt.after_crash;
-
-  if (watch_ != nullptr) {
-    watch_->on_send(m.layer, m.from, m.to, now, target_crashed);
-    if (high) watch_->on_high_water(m.layer, m.from, m.to, cs.in_transit, now);
-  }
+  count_send(pb, m.layer, m.from, m.to, now, target_crashed);
 }
 
 inline void Network::delivered(const Message& m) {
-  const int li = static_cast<int>(m.layer);
-  // Every delivered message was stamped on the same (direction, layer),
-  // so the cached pointer exists.
-  const DirState* d = find_dir_state(m.from, m.to);
-  if (d != nullptr && d->stats[li] != nullptr) --d->stats[li]->in_transit;
+  logical_delivered(m.from, m.to, m.layer);
+}
+
+inline void Network::logical_delivered(ProcessId from, ProcessId to, MsgLayer layer) {
+  // Every delivered message was booked on the same pair and layer; a pair
+  // never booked on `layer` has nothing in transit to settle.
+  const std::uint32_t pair = find_pair(from, to);
+  if (pair == kNoPair) return;
+  ChannelStats& cs = pairs_[pair].stats[static_cast<int>(layer)];
+  if (cs.total != 0) --cs.in_transit;
 }
 
 }  // namespace ekbd::sim

@@ -48,7 +48,9 @@ Simulator::Simulator(std::uint64_t seed, std::unique_ptr<DelayModel> delays, Exe
     : seed_(seed),
       rng_(seed),
       delays_(delays ? std::move(delays) : make_uniform_delay(1, 10)),
-      mode_(mode) {}
+      mode_(mode) {
+  bucket_head_.fill(kNil);
+}
 
 ProcessId Simulator::add_actor(std::unique_ptr<Actor> actor) {
   assert(!started_ && "register all actors before start()");
@@ -107,16 +109,72 @@ std::uint32_t Simulator::acquire_slot() {
 std::uint64_t Simulator::commit_event(std::uint32_t slot) {
   Event& ev = slab_[slot];
   assert(ev.at >= now_ && "cannot schedule into the past");
-  ev.seq = next_event_seq_++;
-  heap_.push_back(HeapEntry{ev.at, ev.seq * kMaxSlots + slot});
-  heap_sift_up(heap_.size() - 1);
-  if (metrics_.queue_depth != nullptr) {
-    metrics_.queue_depth->set(static_cast<std::int64_t>(heap_.size()));
+  const std::uint64_t seq = next_event_seq_++;
+  ev.seq = seq;
+  if (static_cast<std::uint64_t>(ev.at - cursor_) < kWheelSize) {
+    wheel_append(slot, ev.at);
+  } else {
+    heap_.push_back(HeapEntry{ev.at, seq * kMaxSlots + slot});
+    heap_sift_up(heap_.size() - 1);
   }
+  note_queue_depth();
   if (metrics_.slab_live != nullptr) {
     metrics_.slab_live->set(static_cast<std::int64_t>(slab_.size() - free_slots_.size()));
   }
-  return ev.seq;
+  return seq;
+}
+
+void Simulator::note_queue_depth() {
+  if (metrics_.queue_depth != nullptr) {
+    metrics_.queue_depth->set(static_cast<std::int64_t>(wheel_size_ + heap_.size()));
+  }
+}
+
+void Simulator::wheel_append(std::uint32_t slot, Time at) {
+  const std::size_t b = static_cast<std::size_t>(at) & (kWheelSize - 1);
+  slab_[slot].next = kNil;
+  if (bucket_head_[b] == kNil) {
+    bucket_head_[b] = slot;
+    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  } else {
+    slab_[bucket_tail_[b]].next = slot;
+  }
+  bucket_tail_[b] = slot;
+  ++wheel_size_;
+}
+
+std::uint32_t Simulator::wheel_pop(std::size_t b) {
+  const std::uint32_t slot = bucket_head_[b];
+  bucket_head_[b] = slab_[slot].next;
+  if (bucket_head_[b] == kNil) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  --wheel_size_;
+  return slot;
+}
+
+std::size_t Simulator::first_bucket() const {
+  // Scan forward from the cursor's bucket and wrap once: the low bits of
+  // the starting word, met again last, are the window's latest ticks.
+  const std::size_t start = static_cast<std::size_t>(cursor_) & (kWheelSize - 1);
+  std::size_t w = start >> 6;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start & 63));
+  for (std::size_t i = 0; i < kWheelWords; ++i) {
+    if (bits != 0) break;
+    w = (w + 1) & (kWheelWords - 1);
+    bits = occupied_[w];
+  }
+  assert(bits != 0 && "first_bucket() on an empty wheel");
+  return (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
+}
+
+void Simulator::advance_cursor(Time at) {
+  assert(at >= cursor_);
+  cursor_ = at;
+  while (!heap_.empty() &&
+         static_cast<std::uint64_t>(heap_.front().at - cursor_) < kWheelSize) {
+    const HeapEntry e = heap_.front();
+    heap_pop_front();
+    wheel_append(e.slot(), e.at);
+  }
 }
 
 void Simulator::heap_sift_up(std::size_t i) {
@@ -390,10 +448,14 @@ void Simulator::recover(ProcessId p) {
   // (the Actor contract discards a crashed actor's timers). Crashes without
   // recovery get this for free from the crashed() check in fire_timer; here
   // the flag is about to clear, so cancel them explicitly.
-  for (const HeapEntry& he : heap_) {
-    const Event& ev = slab_[he.slot()];
-    if (ev.kind == Event::Kind::kTimer && ev.owner == p) {
-      active_timers_.erase(ev.timer_id);
+  const auto cancel_if_timer_of_p = [&](std::uint32_t slot) {
+    const Event& ev = slab_[slot];
+    if (ev.kind == Event::Kind::kTimer && ev.owner == p) active_timers_.erase(ev.timer_id);
+  };
+  for (const HeapEntry& he : heap_) cancel_if_timer_of_p(he.slot());
+  for (std::uint32_t head : bucket_head_) {
+    for (std::uint32_t slot = head; slot != kNil; slot = slab_[slot].next) {
+      cancel_if_timer_of_p(slot);
     }
   }
   crash_times_[idx] = -1;
@@ -410,8 +472,8 @@ void Simulator::schedule_recovery(ProcessId p, Time at) {
 }
 
 void Simulator::schedule_crash(ProcessId p, Time at) {
-  // Always on the timed heap (historical quirk, preserved: in controlled
-  // mode the heap is never drained, so a scheduled crash never fires —
+  // Always on the timed queue (historical quirk, preserved: in controlled
+  // mode the queue is never drained, so a scheduled crash never fires —
   // mc worlds crash processes via crash() from a scheduled choice).
   Event ev;
   ev.at = at;
@@ -569,33 +631,42 @@ void Simulator::dispatch(Event&& ev) {
   }
 }
 
-void Simulator::prune_cancelled() {
-  // A cancelled timer's record stays in the heap (removing from the middle
-  // of a binary heap is O(n)); it is discarded when it surfaces, without
-  // advancing time or counting as a processed event.
-  while (!heap_.empty()) {
-    // Touching the front's slab line here is free: a live front is read
-    // from the same line by pop_and_dispatch() immediately after.
-    const std::uint32_t slot = heap_.front().slot();
+Time Simulator::next_live_at() {
+  for (;;) {
+    const bool in_wheel = wheel_size_ != 0;
+    if (!in_wheel && heap_.empty()) return kNever;
+    const std::size_t b = in_wheel ? first_bucket() : 0;
+    const std::uint32_t slot = in_wheel ? bucket_head_[b] : heap_.front().slot();
+    // A cancelled timer's record stays queued (unlinking it from a bucket
+    // or the middle of the heap is not worth a back-pointer); it is
+    // discarded here when it surfaces. Touching the front's slab line is
+    // free: a live front is read from the same line right after.
     const Event& front = slab_[slot];
-    if (front.kind != Event::Kind::kTimer) break;
-    if (active_timers_.find(front.timer_id) != active_timers_.end()) break;
+    if (front.kind != Event::Kind::kTimer ||
+        active_timers_.find(front.timer_id) != active_timers_.end()) {
+      return in_wheel ? cursor_ + static_cast<Time>(
+                                      (b - static_cast<std::size_t>(cursor_)) & (kWheelSize - 1))
+                      : heap_.front().at;
+    }
+    if (in_wheel) {
+      wheel_pop(b);
+    } else {
+      heap_pop_front();
+    }
     free_slots_.push_back(slot);
-    heap_pop_front();
   }
 }
 
-void Simulator::pop_and_dispatch() {
-  const HeapEntry entry = heap_.front();
-  const std::uint32_t slot = entry.slot();
-  heap_pop_front();
-  assert(entry.at >= now_);
-  now_ = entry.at;
+void Simulator::pop_and_dispatch(Time at) {
+  assert(at >= now_);
+  // Bring the cursor to this tick; when the wheel was empty, this is
+  // where the far event enters its bucket.
+  if (at != cursor_) advance_cursor(at);
+  const std::uint32_t slot = wheel_pop(static_cast<std::size_t>(at) & (kWheelSize - 1));
+  now_ = at;
   ++events_processed_;
   if (metrics_.events != nullptr) metrics_.events->inc();
-  if (metrics_.queue_depth != nullptr) {
-    metrics_.queue_depth->set(static_cast<std::int64_t>(heap_.size()));
-  }
+  note_queue_depth();
   // The handler may push events, which can recycle (or reallocate) the
   // slot being read — so copy out before dispatching. Deliveries (the
   // overwhelming bulk) copy only the Message, not the whole record.
@@ -612,21 +683,20 @@ void Simulator::pop_and_dispatch() {
 
 bool Simulator::step() {
   assert(mode_ == ExecMode::kTimed && "use execute_event in controlled mode");
-  prune_cancelled();
-  if (heap_.empty()) return false;
-  pop_and_dispatch();
+  const Time at = next_live_at();
+  if (at == kNever) return false;
+  pop_and_dispatch(at);
   return true;
 }
 
 void Simulator::run_until(Time t) {
   assert(mode_ == ExecMode::kTimed && "drive controlled mode via execute_event");
   start();
-  for (;;) {
-    // Prune before the horizon check: a cancelled record at the front must
-    // not be mistaken for a runnable event, nor hide one behind it.
-    prune_cancelled();
-    if (heap_.empty() || heap_.front().at > t) break;
-    pop_and_dispatch();
+  // The cursor only ever moves to the tick of an event being dispatched,
+  // so it never passes `t` (or now_): a later push at now_ or after
+  // still lands inside or past the window, never behind it.
+  for (Time at = next_live_at(); at != kNever && at <= t; at = next_live_at()) {
+    pop_and_dispatch(at);
   }
   if (t > now_) now_ = t;
 }

@@ -1,9 +1,9 @@
 /// \file simulator.hpp
 /// Deterministic discrete-event simulator.
 ///
-/// Executes a set of Actors over virtual time: a single priority queue of
-/// events (message deliveries, timers, externally scheduled callbacks)
-/// ordered by (time, sequence number). Given the same seed and the same
+/// Executes a set of Actors over virtual time: one queue of events
+/// (message deliveries, timers, externally scheduled callbacks) popped in
+/// (time, sequence number) order. Given the same seed and the same
 /// sequence of API calls, two runs are bit-identical — every experiment in
 /// this repository is replayable from its parameters.
 ///
@@ -18,9 +18,11 @@
 /// actor's `on_recover` runs a protocol-level rejoin.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,7 +51,7 @@ namespace ekbd::sim {
 struct SimMetrics {
   obs::Counter* events = nullptr;      ///< events dispatched
   obs::Counter* sends = nullptr;       ///< physical sends (raw_send)
-  obs::Gauge* queue_depth = nullptr;   ///< timed event heap size
+  obs::Gauge* queue_depth = nullptr;   ///< pending timed events (wheel + heap)
   obs::Gauge* slab_live = nullptr;     ///< live slab records (occupancy)
 };
 
@@ -137,7 +139,7 @@ class Simulator final : public TransportIface {
 
   /// True if no events are pending.
   [[nodiscard]] bool idle() const {
-    return mode_ == ExecMode::kTimed ? heap_.empty() : controlled_.empty();
+    return mode_ == ExecMode::kTimed ? wheel_size_ == 0 && heap_.empty() : controlled_.empty();
   }
 
   // -- controlled (model-checking) mode ---------------------------------
@@ -286,7 +288,7 @@ class Simulator final : public TransportIface {
   Rng& actor_rng(ProcessId p) override;
 
  private:
-  /// One record in the timed event heap. A typed discriminant instead of a
+  /// One record in the timed event queue. A typed discriminant instead of a
   /// per-event heap-allocated `std::function` closure: the steady-state
   /// kinds (deliveries, timers, drop settlements, crashes) carry their
   /// operands inline, so pushing and popping them never allocates — and
@@ -309,13 +311,16 @@ class Simulator final : public TransportIface {
     /// kTimer / kCrash subject; kCallback: the call_after owner
     /// (kNoProcess for a schedule() callback).
     ProcessId owner = kNoProcess;
+    /// Next slot in the same wheel bucket (kNil: last). Meaningless while
+    /// the record sits in the far heap.
+    std::uint32_t next = 0;
     union {
       TimerId timer_id = 0;       ///< kTimer
       std::uint64_t incarnation;  ///< kCallback with an owner: armed by this incarnation
     };
     Message msg;                   ///< kDeliver / kDropSettle
   };
-  /// What the heap actually sifts: 16 bytes — the firing time plus a
+  /// What the far heap actually sifts: 16 bytes — the firing time plus a
   /// packed (seq, slot) word, seq in the high bits so comparing the word
   /// orders by seq (slot is dead weight below unique-seq bits). Keeping
   /// the ~100-byte Event records out of the heap makes every sift step a
@@ -356,9 +361,10 @@ class Simulator final : public TransportIface {
   /// Grab a free slab slot (recycled or fresh). The returned reference is
   /// valid only until the next acquire (the slab may reallocate).
   std::uint32_t acquire_slot();
-  /// Assign the next event seq to the record in `slot` and push it on the
-  /// heap. The record's `at` and `kind` must be final. Returns the seq
-  /// (keys `callbacks_` for kCallback records).
+  /// Assign the next event seq to the record in `slot` and queue it: in
+  /// its wheel bucket when it fires within kWheelSize ticks of the
+  /// cursor, on the far heap otherwise. The record's `at` and `kind` must
+  /// be final. Returns the seq (keys `callbacks_` for kCallback records).
   std::uint64_t commit_event(std::uint32_t slot);
   /// Cold-path convenience: copy a ready-made record into a slot and
   /// commit it. The hot send path builds records in place instead.
@@ -367,20 +373,32 @@ class Simulator final : public TransportIface {
                                    ProcessId owner, std::uint64_t channel_rank);
   /// 4-ary min-heap primitives over `heap_` (earliest (at, seq) on top).
   /// Quarter the depth of a binary heap and all four children share one
-  /// cache line (4 × 24 B), so pops touch far less memory; because
-  /// (at, seq) is a total order the pop sequence is identical to any
-  /// other heap arity — arity is pure mechanics, not semantics.
+  /// cache line (4 × 16 B); because (at, seq) is a total order the pop
+  /// sequence is identical to any other heap arity.
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
   /// Remove heap_[0], restoring the heap property.
   void heap_pop_front();
-  /// Pop-and-discard cancelled-timer records at the heap front. They are
-  /// dead weight, not events: skipping them must not advance time or the
-  /// events_processed counter.
-  void prune_cancelled();
-  /// Pop and run the earliest event. Precondition: prune_cancelled() was
-  /// just called and the heap is non-empty.
-  void pop_and_dispatch();
+  /// Append `slot` (firing at `at`, inside the wheel's window) to the
+  /// tail of its bucket.
+  void wheel_append(std::uint32_t slot, Time at);
+  /// Unlink and return the head slot of non-empty bucket `b`.
+  std::uint32_t wheel_pop(std::size_t b);
+  /// The bucket holding the wheel's earliest tick. Precondition:
+  /// wheel_size_ > 0.
+  [[nodiscard]] std::size_t first_bucket() const;
+  /// Move the cursor forward to `at` and pull every far event that now
+  /// falls inside the window into its bucket, in (at, seq) order.
+  void advance_cursor(Time at);
+  /// Time of the earliest pending event, or kNever when none is left.
+  /// Cancelled-timer records met at the front are dead weight, not
+  /// events: they are discarded without advancing time, the cursor or
+  /// the events_processed counter.
+  Time next_live_at();
+  /// Pop and run the earliest event, which fires at `at` (the value
+  /// next_live_at() just returned).
+  void pop_and_dispatch(Time at);
+  void note_queue_depth();
   void dispatch(Event&& ev);
   void fire_timer(ProcessId owner, TimerId id);
   [[nodiscard]] bool is_eligible(const ControlledEvent& ev) const;
@@ -409,10 +427,27 @@ class Simulator final : public TransportIface {
   std::vector<Time> last_recover_;
   /// Crashes so far per process: the incarnation a call_after belongs to.
   std::vector<std::uint64_t> incarnations_;
-  /// Timed mode: 4-ary min-heap over (at, seq) on a plain vector of
-  /// compact HeapEntry keys; the Event records live in `slab_` (slots
-  /// recycled through `free_slots_`), so sifting moves 24-byte keys, not
-  /// 100-byte records.
+  /// Timed mode: a wheel of kWheelSize one-tick buckets over
+  /// [cursor_, cursor_ + kWheelSize), and a 4-ary min-heap over (at, seq)
+  /// of compact HeapEntry keys for every event at or past the window's
+  /// end. A bucket is a FIFO of slab slots linked through Event::next.
+  /// Far events enter their bucket when the cursor's advance brings their
+  /// tick into the window — before any direct push to that tick can
+  /// happen — and direct pushes append in seq order, so each bucket is
+  /// already sorted by seq and the pop order is exactly (at, seq). The
+  /// Event records live in `slab_` (slots recycled through
+  /// `free_slots_`); neither structure ever moves them.
+  static constexpr std::size_t kWheelSize = 1024;
+  static constexpr std::size_t kWheelWords = kWheelSize / 64;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+  Time cursor_ = 0;  ///< earliest tick the wheel can hold; never past now_
+  std::size_t wheel_size_ = 0;
+  std::array<std::uint32_t, kWheelSize> bucket_head_{};  ///< kNil-filled by the constructor
+  std::array<std::uint32_t, kWheelSize> bucket_tail_{};
+  /// Bit b set iff bucket b is non-empty: the scan for the next tick
+  /// reads kWheelWords words, not kWheelSize heads.
+  std::array<std::uint64_t, kWheelWords> occupied_{};
   std::vector<HeapEntry> heap_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_slots_;

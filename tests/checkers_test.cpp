@@ -2,6 +2,12 @@
 // *violate* each property, proving the checkers can detect violations.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "dining/checkers.hpp"
 #include "graph/topology.hpp"
 
@@ -138,6 +144,81 @@ TEST(WaitFreedom, CrashedProcessResponsesExcludedFromStats) {
   EXPECT_EQ(r.sessions_completed, 2u);
   EXPECT_EQ(r.response.count, 1u);  // only the correct process's session
   EXPECT_DOUBLE_EQ(r.response.mean, 5.0);
+}
+
+/// The session-list reading of the wait-freedom report, which
+/// check_wait_freedom computes in one streaming pass.
+ekbd::dining::WaitFreedomReport report_from_sessions(const Trace& trace,
+                                                     const std::vector<Time>& crash_times,
+                                                     Time starvation_horizon) {
+  ekbd::dining::WaitFreedomReport r;
+  std::vector<double> responses;
+  std::set<ekbd::sim::ProcessId> starving;
+  for (const auto& s : ekbd::dining::hungry_sessions(trace)) {
+    ++r.sessions_total;
+    const auto p = static_cast<std::size_t>(s.process);
+    const bool correct = p >= crash_times.size() || crash_times[p] < 0;
+    if (s.completed()) {
+      ++r.sessions_completed;
+      if (correct) responses.push_back(static_cast<double>(s.response_time()));
+    } else if (s.crashed_during) {
+      ++r.sessions_crashed;
+    } else if (correct && s.ended - s.became_hungry >= starvation_horizon) {
+      starving.insert(s.process);
+    }
+  }
+  r.starving.assign(starving.begin(), starving.end());
+  r.response = ekbd::util::summarize(responses);
+  return r;
+}
+
+TEST(WaitFreedom, StreamingPassMatchesTheSessionList) {
+  // Random traces over 12 processes: completed, crashed, re-hungry and
+  // still-open sessions, with responses both below and far past the
+  // checker's dense tick range (a nanosecond-tick engine's waits).
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    constexpr int kN = 12;
+    Trace t;
+    std::vector<Time> crash_times(kN, -1);
+    Time now = 0;
+    for (int i = 0; i < 3'000; ++i) {
+      now += static_cast<Time>(rng() % 4 == 0 ? 70'000 + rng() % 90'000 : rng() % 30);
+      const auto p = static_cast<ekbd::sim::ProcessId>(rng() % kN);
+      const std::uint64_t roll = rng() % 100;
+      if (roll < 45) {
+        t.record(now, p, kHungry);
+      } else if (roll < 90) {
+        t.record(now, p, kEat);
+      } else if (roll < 97) {
+        t.record(now, p, kExit);
+      } else if (crash_times[static_cast<std::size_t>(p)] < 0) {
+        t.record(now, p, kCrash);
+        crash_times[static_cast<std::size_t>(p)] = now;
+      }
+    }
+    t.set_end_time(now + 1'000);
+    for (const Time horizon : {Time{0}, Time{500}, Time{100'000}}) {
+      const auto got = check_wait_freedom(t, crash_times, horizon);
+      const auto want = report_from_sessions(t, crash_times, horizon);
+      EXPECT_EQ(got.sessions_total, want.sessions_total);
+      EXPECT_EQ(got.sessions_completed, want.sessions_completed);
+      EXPECT_EQ(got.sessions_crashed, want.sessions_crashed);
+      EXPECT_EQ(got.starving, want.starving);
+      // Bit-identical, not merely close: same values, same summation order.
+      EXPECT_EQ(got.response.count, want.response.count);
+      for (const auto& [a, b] : {std::pair{got.response.min, want.response.min},
+                                 {got.response.max, want.response.max},
+                                 {got.response.mean, want.response.mean},
+                                 {got.response.stddev, want.response.stddev},
+                                 {got.response.p50, want.response.p50},
+                                 {got.response.p95, want.response.p95},
+                                 {got.response.p99, want.response.p99},
+                                 {got.response.p999, want.response.p999}}) {
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " vs " << b;
+      }
+    }
+  }
 }
 
 TEST(Overtakes, CountsEatsDuringNeighborHunger) {

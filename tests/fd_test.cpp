@@ -229,6 +229,29 @@ TEST(Heartbeat, IgnoresNonNeighborHeartbeats) {
   EXPECT_FALSE(w.detector.suspects(0, 5));
 }
 
+TEST(Heartbeat, SuspectsIsFalseForNonNeighbourAndUnattachedOwner) {
+  Simulator sim(42, ekbd::sim::make_fixed_delay(5));
+  // Neighbours given out of order: the module keeps them sorted.
+  auto* a = sim.make_actor<HbHost>(std::vector<ProcessId>{2, 1}, HeartbeatModule::Params{});
+  auto* b = sim.make_actor<HbHost>(std::vector<ProcessId>{0}, HeartbeatModule::Params{});
+  auto* c = sim.make_actor<HbHost>(std::vector<ProcessId>{0}, HeartbeatModule::Params{});
+  HeartbeatDetector det;
+  det.attach(a->id(), &a->module_);
+  det.attach(c->id(), &c->module_);  // b stays unattached
+  sim.schedule_crash(b->id(), 100);
+  sim.run_until(2'000);
+  EXPECT_TRUE(det.suspects(a->id(), b->id())) << "a crashed neighbour is suspected";
+  EXPECT_FALSE(det.suspects(a->id(), c->id()));
+  EXPECT_FALSE(det.suspects(c->id(), b->id())) << "b crashed but is no neighbour of c";
+  EXPECT_FALSE(det.suspects(c->id(), c->id()));
+  EXPECT_FALSE(det.suspects(b->id(), a->id())) << "b's module is not attached";
+  EXPECT_FALSE(det.suspects(ekbd::sim::kNoProcess, b->id()));
+  EXPECT_FALSE(det.suspects(7, b->id())) << "an owner past every attached id";
+  EXPECT_EQ(a->module_.timeout_of(c->id()), HeartbeatModule::Params{}.initial_timeout);
+  EXPECT_EQ(a->module_.timeout_of(5), 0) << "no timeout for a non-neighbour";
+  EXPECT_EQ(det.total_false_suspicions(), 0u);
+}
+
 TEST(Heartbeat, DetectorFacadeUnknownOwner) {
   HeartbeatDetector det;
   EXPECT_FALSE(det.suspects(9, 1));

@@ -3,7 +3,8 @@
 //
 //  * SimHotPath — a counting global allocator proves the steady-state
 //    send→deliver cycle never touches the heap, and cancelled timers are
-//    discarded without advancing time or the events_processed counter.
+//    discarded without advancing time or the events_processed counter
+//    (the wheel-against-heap order test lives in sim_test.cpp).
 //  * SimDeterminism — per-actor RNG streams depend only on (master seed,
 //    id), and a fixed-seed E1-style scenario still produces the exact
 //    event log it produced before the queue rewrite (golden digest).
@@ -64,8 +65,8 @@ using ekbd::sim::Simulator;
 using ekbd::sim::TimerId;
 
 /// Replies to every Ping with a Ping: a sustained one-message-in-flight
-/// chain that exercises pop-heap → deliver → on_message → send →
-/// push-heap forever.
+/// chain that exercises queue pop → deliver → on_message → send →
+/// queue push forever.
 struct PingPong : ekbd::sim::Actor {
   void on_message(const Message& m) override {
     send(m.from, ekbd::core::Ping{}, MsgLayer::kDining);
@@ -83,7 +84,7 @@ TEST(SimHotPath, SteadyStateSendDeliverDoesNotAllocate) {
   auto* b = sim.make_actor<PingPong>();
   sim.start();
   a->send(b->id(), ekbd::core::Ping{}, MsgLayer::kDining);
-  // Warm-up: grows the heap vector to its steady capacity and creates the
+  // Warm-up: grows the event slab to its steady capacity and creates the
   // Network's per-channel bookkeeping entries for both directions.
   sim.run_until(1'000);
   const auto events_before = sim.events_processed();
@@ -130,7 +131,7 @@ TEST(SimHotPath, AllTimersCancelledMeansNothingHappens) {
   sim.run_until(200);
   EXPECT_EQ(a->fired, 0);
   EXPECT_EQ(sim.events_processed(), 0u);
-  EXPECT_TRUE(sim.idle());  // pruning really emptied the heap
+  EXPECT_TRUE(sim.idle());  // pruning really emptied the queue
   EXPECT_EQ(sim.now(), 200);
 }
 
