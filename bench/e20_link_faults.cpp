@@ -201,10 +201,11 @@ int main(int argc, char** argv) {
         }
         if (all_ate) ++res.per_side_progress;
       }
-      if (s.transport() != nullptr) {
-        res.overhead_sum += s.transport()->overhead();
-        res.retransmissions += s.transport()->retransmissions();
-        res.dup_suppressed += s.transport()->duplicates_suppressed();
+      if (!s.arqs().empty()) {
+        const net::ArqStats arq = s.arq_stats();
+        res.overhead_sum += arq.overhead();
+        res.retransmissions += arq.retransmissions;
+        res.dup_suppressed += arq.duplicates_suppressed;
       } else {
         res.overhead_sum += 1.0;  // ideal mode: no shim, no overhead
       }

@@ -6,69 +6,29 @@
 
 namespace ekbd::net {
 
-using ekbd::sim::LoggedEvent;
 using ekbd::sim::Payload;
 
-// -- SimEnv: the deterministic-simulator adapter ---------------------------
-
-std::uint64_t ReliableTransport::SimEnv::book_logical_send(ProcessId from, ProcessId to,
-                                                           const Payload& payload,
-                                                           MsgLayer layer) {
-  const Time now = sim_.now();
-  const std::uint64_t logical_seq =
-      sim_.network().logical_sent(from, to, layer, now, sim_.crashed(to));
-  sim_.append_log(LoggedEvent{now, LoggedEvent::Kind::kSend, from, to, layer, logical_seq,
-                              sim::payload_tag(payload)});
-  return logical_seq;
+ArqStats& ArqStats::operator+=(const ArqStats& o) {
+  logical_sends += o.logical_sends;
+  logical_deliveries += o.logical_deliveries;
+  physical_data_sends += o.physical_data_sends;
+  physical_ack_sends += o.physical_ack_sends;
+  retransmissions += o.retransmissions;
+  duplicates_suppressed += o.duplicates_suppressed;
+  abandoned_to_dead += o.abandoned_to_dead;
+  max_rto_reached = std::max(max_rto_reached, o.max_rto_reached);
+  return *this;
 }
 
-void ReliableTransport::SimEnv::book_logical_drop(ProcessId from, ProcessId to,
-                                                  const Payload& payload, MsgLayer layer,
-                                                  std::uint64_t logical_seq) {
-  sim_.network().logical_dropped(from, to, layer);
-  sim_.append_log(LoggedEvent{sim_.now(), LoggedEvent::Kind::kDrop, from, to, layer,
-                              logical_seq, sim::payload_tag(payload)});
+ArqStats sum_stats(const std::vector<std::unique_ptr<ReliableTransport>>& arqs) {
+  ArqStats sum;
+  for (const auto& arq : arqs) sum += arq->stats();
+  return sum;
 }
 
-void ReliableTransport::SimEnv::physical_send(ProcessId from, ProcessId to,
-                                              const Payload& payload) {
-  sim_.raw_send(from, to, payload, MsgLayer::kTransport);
-}
-
-void ReliableTransport::SimEnv::deliver_logical(ProcessId from, ProcessId to,
-                                                const Payload& payload, MsgLayer layer,
-                                                std::uint64_t logical_seq, Time sent_at) {
-  sim_.deliver_logical(from, to, payload, layer, logical_seq, sent_at);
-}
-
-void ReliableTransport::SimEnv::schedule_on(ProcessId /*owner*/, Time delay,
-                                            std::function<void()> fn) {
-  // One event loop for everyone: the owner is irrelevant here.
-  sim_.schedule_in(delay, std::move(fn));
-}
-
-// -- ReliableTransport -----------------------------------------------------
-
-ReliableTransport::ReliableTransport(ekbd::sim::Simulator& sim, Params params,
-                                     const ekbd::fd::FailureDetector* detector)
-    : sim_env_(std::make_unique<SimEnv>(sim)),
-      env_(sim_env_.get()),
-      sim_(&sim),
-      params_(params),
-      detector_(detector) {
-  sim_->set_transport(this);
-}
-
-ReliableTransport::ReliableTransport(ArqEnv& env, Params params,
+ReliableTransport::ReliableTransport(ekbd::sim::ArqEnv& env, Params params,
                                      const ekbd::fd::FailureDetector* detector)
     : env_(&env), params_(params), detector_(detector) {}
-
-ReliableTransport::~ReliableTransport() {
-  // The shim must be torn down before the simulator (both the scenario
-  // layer and stack usage guarantee this); detach so a later run of the
-  // same simulator cannot touch a dead transport.
-  if (sim_ != nullptr && sim_->transport() == this) sim_->set_transport(nullptr);
-}
 
 bool ReliableTransport::covers(MsgLayer layer) const {
   return layer == MsgLayer::kDining || layer == MsgLayer::kOther;
@@ -80,7 +40,7 @@ bool ReliableTransport::suspected(ProcessId owner, ProcessId target) const {
 
 void ReliableTransport::logical_send(ProcessId from, ProcessId to, const Payload& payload,
                                      MsgLayer layer) {
-  ++logical_sends_;
+  ++stats_.logical_sends;
   const Time now = env_->now();
   const std::uint64_t logical_seq = env_->book_logical_send(from, to, payload, layer);
 
@@ -101,7 +61,8 @@ void ReliableTransport::transmit(ProcessId from, ProcessId to, EdgeTx& tx,
                                  std::uint64_t seq) {
   const auto it = tx.unacked.find(seq);
   if (it == tx.unacked.end()) return;
-  const PendingMsg& pm = it->second;
+  PendingMsg& pm = it->second;
+  pm.on_wire = true;
   // Nest the logical payload as (tag, bits): covered layers only ever
   // carry word-sized wire types (§7 constant-size records), so the pack
   // cannot fail; the bit-packed counters bound a run far above any
@@ -113,9 +74,8 @@ void ReliableTransport::transmit(ProcessId from, ProcessId to, EdgeTx& tx,
   env_->physical_send(
       from, to,
       DataSegment{seq, pm.layer, pm.logical_seq, pm.logical_sent_at, tag, bits});
-  ++physical_data_sends_;
+  ++stats_.physical_data_sends;
   tx.last_data_send = env_->now();
-  last_data_send_to_[to] = env_->now();
 }
 
 Time ReliableTransport::jittered(EdgeTx& tx, std::uint64_t key, Time delay) {
@@ -134,7 +94,7 @@ void ReliableTransport::arm_timer(ProcessId from, ProcessId to, EdgeTx& tx, Time
   const std::uint64_t gen = ++tx.timer_gen;
   delay = jittered(tx, edge_key(from, to), delay);
   tx.armed_delays.push_back(delay);
-  env_->schedule_on(from, delay, [this, from, to, gen] { on_timer(from, to, gen); });
+  env_->call_after(from, delay, [this, from, to, gen] { on_timer(from, to, gen); });
 }
 
 void ReliableTransport::on_timer(ProcessId from, ProcessId to, std::uint64_t gen) {
@@ -142,11 +102,6 @@ void ReliableTransport::on_timer(ProcessId from, ProcessId to, std::uint64_t gen
   if (gen != tx.timer_gen) return;  // superseded by an ack or a re-arm
   tx.timer_armed = false;
   if (tx.unacked.empty()) return;
-  if (env_->crashed(from)) {
-    // The sender died: whatever it had queued left no trace on the wire.
-    abandon(from, to, tx);
-    return;
-  }
   if (suspected(from, to)) {
     if (env_->crashed(to)) {
       // Suspected and actually dead — crash-stop means the peer can never
@@ -167,34 +122,27 @@ void ReliableTransport::on_timer(ProcessId from, ProcessId to, std::uint64_t gen
   // redundant copies harmless), then back off exponentially up to the cap.
   for (const auto& [seq, pm] : tx.unacked) {
     transmit(from, to, tx, seq);
-    ++retransmissions_;
+    ++stats_.retransmissions;
   }
   tx.rto = std::min<Time>(static_cast<Time>(static_cast<double>(tx.rto) * params_.rto_backoff),
                           params_.rto_max);
   tx.rto = std::max<Time>(tx.rto, 1);
-  if (tx.rto > max_rto_reached_) max_rto_reached_ = tx.rto;
+  stats_.max_rto_reached = std::max(stats_.max_rto_reached, tx.rto);
   arm_timer(from, to, tx, tx.rto);
 }
 
 void ReliableTransport::abandon(ProcessId from, ProcessId to, EdgeTx& tx) {
-  // A queued segment may be unacked yet already delivered (the data made
-  // it, the ack was lost): the receiver's in-order cursor is the ground
-  // truth, and those segments settled their books at delivery time — only
-  // genuinely undelivered ones are written off here.
-  const auto rx_it = rx_.find(edge_key(from, to));
-  const std::uint64_t delivered_below = rx_it == rx_.end() ? 0 : rx_it->second.expected;
+  // Only a message that never went on the wire is surely undelivered: one
+  // that did may have reached the peer before it died (the ack lost), and
+  // the peer's receive cursor is not ours to read. Those stay in transit.
   for (const auto& [seq, pm] : tx.unacked) {
-    if (seq < delivered_below) continue;
+    if (pm.on_wire) continue;
     env_->book_logical_drop(from, to, pm.payload, pm.layer, pm.logical_seq);
-    ++abandoned_to_dead_;
+    ++stats_.abandoned_to_dead;
   }
   tx.unacked.clear();
   tx.timer_armed = false;
   ++tx.timer_gen;
-  // Copies of the written-off segments may still be on the wire (e.g. the
-  // sender crashed with data in flight). Their fate is sealed — refuse
-  // delivery so no message is booked both dropped and delivered.
-  dead_edges_.insert(edge_key(from, to));
 }
 
 bool ReliableTransport::on_physical_deliver(const ekbd::sim::Message& m) {
@@ -211,15 +159,9 @@ bool ReliableTransport::on_physical_deliver(const ekbd::sim::Message& m) {
 }
 
 void ReliableTransport::handle_data(const ekbd::sim::Message& m, const DataSegment& ds) {
-  if (dead_edges_.count(edge_key(m.from, m.to)) != 0) {
-    // The edge was abandoned (sender or receiver dead); anything still
-    // arriving was already booked as dropped.
-    ++duplicates_suppressed_;
-    return;
-  }
   EdgeRx& rx = rx_[edge_key(m.from, m.to)];
   if (ds.seq() < rx.expected || rx.buffered.count(ds.seq()) != 0) {
-    ++duplicates_suppressed_;  // retransmit or adversary copy — drop it
+    ++stats_.duplicates_suppressed;  // retransmit or adversary copy — drop it
   } else {
     rx.buffered.emplace(ds.seq(),
                         PendingMsg{sim::unpack_payload(ds.inner_tag(), ds.inner_bits),
@@ -229,7 +171,7 @@ void ReliableTransport::handle_data(const ekbd::sim::Message& m, const DataSegme
       auto node = rx.buffered.extract(rx.buffered.begin());
       PendingMsg pm = std::move(node.mapped());
       ++rx.expected;
-      ++logical_deliveries_;
+      ++stats_.logical_deliveries;
       env_->deliver_logical(m.from, m.to, pm.payload, pm.layer, pm.logical_seq,
                             pm.logical_sent_at);
     }
@@ -237,7 +179,7 @@ void ReliableTransport::handle_data(const ekbd::sim::Message& m, const DataSegme
   // Always (re-)acknowledge: a duplicate usually means our previous ack
   // was lost, and cumulative acks are idempotent.
   env_->physical_send(m.to, m.from, AckSegment{rx.expected});
-  ++physical_ack_sends_;
+  ++stats_.physical_ack_sends;
 }
 
 void ReliableTransport::handle_ack(const ekbd::sim::Message& m, const AckSegment& ack) {
@@ -265,13 +207,8 @@ void ReliableTransport::handle_ack(const ekbd::sim::Message& m, const AckSegment
     // take a whole rto_max, since a healed partition leaves the backoff at
     // its cap. The timer and its backoff stay as they are.
     transmit(m.to, m.from, tx, ack.cumulative);
-    ++retransmissions_;
+    ++stats_.retransmissions;
   }
-}
-
-Time ReliableTransport::last_data_send_to(ProcessId to) const {
-  const auto it = last_data_send_to_.find(to);
-  return it == last_data_send_to_.end() ? -1 : it->second;
 }
 
 Time ReliableTransport::last_data_send(ProcessId from, ProcessId to) const {

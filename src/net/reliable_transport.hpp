@@ -15,13 +15,13 @@
 /// the paper assumes — loss, duplication and reordering are absorbed here.
 ///
 /// The protocol state machine is engine-agnostic: every interaction with
-/// the world goes through `ArqEnv` (net/arq_env.hpp), so the same shim
-/// runs under the deterministic simulator, the real-threads runtime
-/// (rt::RtArq) and the multi-process socket engine (netproc::NodeEngine);
-/// the lossy scenarios of all three install it the same way.
-/// The Simulator constructor below builds the sim adapter internally and
-/// installs itself with `set_transport`, preserving the historical
-/// behavior bit for bit.
+/// the world goes through `sim::ArqEnv` (sim/net_hooks.hpp), which the
+/// simulator, the real-threads runtime and the socket engine each
+/// implement. Every process owns one instance, and only that process's
+/// context touches it: its senders' `tx` halves and its receivers' `rx`
+/// halves are that process's channel state, so no engine needs a lock.
+/// `install_arqs` (scenario/scenario.hpp) builds the n instances of a sim
+/// or rt run; a proc node builds its one (`NodeEngine::install_arq`).
 ///
 /// Accounting: physical segments travel on MsgLayer::kTransport; the
 /// *logical* messages are booked on their own layer via
@@ -41,6 +41,13 @@
 /// alone, so a permanently partitioned (live but unreachable) peer also
 /// goes quiet as soon as ◇P₁ suspects it.
 ///
+/// Write-off rule: a sender cannot see its peer's receive cursor, so when
+/// it discards the queue it books kDrop only for the messages it never put
+/// on the wire. A message that was sent but not acknowledged may have been
+/// delivered before the peer died; it stays in transit in the books, as a
+/// crashed sender's whole queue does. Either way every logical message is
+/// settled at most once.
+///
 /// Retransmit desynchronization: after a partition heals, every cut edge's
 /// backoff clock would fire in lockstep (they all saturated at `rto_max`
 /// on the same schedule), hammering the just-healed link with a
@@ -55,14 +62,11 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fd/detector.hpp"
-#include "net/arq_env.hpp"
 #include "sim/net_hooks.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulator.hpp"
 
 namespace ekbd::net {
 
@@ -74,6 +78,41 @@ using ekbd::sim::Time;
 // sim/payload.hpp (every wire type is an alternative of the closed
 // sim::Payload variant). A DataSegment carries one logical message per
 // segment, nested as (variant tag, raw bytes) via sim::pack_payload.
+
+/// Counters of one ARQ instance, or of a whole run (`sum_stats`).
+struct ArqStats {
+  std::uint64_t logical_sends = 0;
+  std::uint64_t logical_deliveries = 0;
+  std::uint64_t physical_data_sends = 0;
+  std::uint64_t physical_ack_sends = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t duplicates_suppressed = 0;
+  /// Logical messages written off toward a suspected and crashed peer.
+  std::uint64_t abandoned_to_dead = 0;
+  /// Highest RTO the exponential backoff ever reached on any edge (0 if
+  /// no retransmission round backed off): the "backoff level" telemetry
+  /// signal — Params::rto_max here means some link stayed bad long
+  /// enough to saturate the cap.
+  Time max_rto_reached = 0;
+
+  /// Physical overhead factor: data segments sent per logical message
+  /// (1.0 = no retransmissions; loss-free link).
+  [[nodiscard]] double overhead() const {
+    return logical_sends == 0
+               ? 1.0
+               : static_cast<double>(physical_data_sends) / static_cast<double>(logical_sends);
+  }
+
+  /// Logical messages accepted but neither delivered nor written off
+  /// (queued, on the wire, in a reorder buffer, or stranded by a crash).
+  /// Meaningful for a whole run: one instance books the sends of its
+  /// process and the deliveries to it.
+  [[nodiscard]] std::uint64_t logical_in_flight() const {
+    return logical_sends - logical_deliveries - abandoned_to_dead;
+  }
+
+  ArqStats& operator+=(const ArqStats& o);
+};
 
 class ReliableTransport final : public ekbd::sim::Transport {
  public:
@@ -90,19 +129,13 @@ class ReliableTransport final : public ekbd::sim::Transport {
     std::uint64_t jitter_seed = 1;
   };
 
-  /// Installs itself on `sim` (set_transport). `detector` (may be null)
-  /// gates retransmission quiescence; pass the same oracle the diners use.
-  ReliableTransport(ekbd::sim::Simulator& sim, Params params,
+  /// One process's ARQ over `env`. The engine must route that process's
+  /// covered logical sends into `logical_send` and the physical kTransport
+  /// segments addressed to it into `on_physical_deliver`; `env` must
+  /// outlive the shim. `detector` (may be null) gates retransmission
+  /// quiescence; pass the same oracle the diners use.
+  ReliableTransport(ekbd::sim::ArqEnv& env, Params params,
                     const ekbd::fd::FailureDetector* detector = nullptr);
-
-  /// Engine-agnostic: run the ARQ over an arbitrary environment (rt, the
-  /// socket engine, tests). The caller owns the wiring — it must route
-  /// covered logical sends into `logical_send` and physical kTransport
-  /// deliveries into `on_physical_deliver`; `env` must outlive the shim.
-  ReliableTransport(ArqEnv& env, Params params,
-                    const ekbd::fd::FailureDetector* detector = nullptr);
-
-  ~ReliableTransport() override;
 
   ReliableTransport(const ReliableTransport&) = delete;
   ReliableTransport& operator=(const ReliableTransport&) = delete;
@@ -119,44 +152,13 @@ class ReliableTransport final : public ekbd::sim::Transport {
 
   // -- instrumentation ---------------------------------------------------
 
-  [[nodiscard]] std::uint64_t logical_sends() const { return logical_sends_; }
-  [[nodiscard]] std::uint64_t logical_deliveries() const { return logical_deliveries_; }
-  [[nodiscard]] std::uint64_t physical_data_sends() const { return physical_data_sends_; }
-  [[nodiscard]] std::uint64_t physical_ack_sends() const { return physical_ack_sends_; }
-  [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
-  [[nodiscard]] std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
-  [[nodiscard]] std::uint64_t abandoned_to_dead() const { return abandoned_to_dead_; }
+  [[nodiscard]] const ArqStats& stats() const { return stats_; }
 
-  /// Highest RTO the exponential backoff ever reached on any edge (0 if
-  /// no retransmission round backed off): the "backoff level" telemetry
-  /// signal — params_.rto_max here means some link stayed bad long
-  /// enough to saturate the cap.
-  [[nodiscard]] Time max_rto_reached() const { return max_rto_reached_; }
-
-  /// Physical overhead factor: data segments sent per logical message
-  /// (1.0 = no retransmissions; loss-free link).
-  [[nodiscard]] double overhead() const {
-    return logical_sends_ == 0
-               ? 1.0
-               : static_cast<double>(physical_data_sends_) /
-                     static_cast<double>(logical_sends_);
-  }
-
-  /// Time of the most recent *data* transmission (first send or
-  /// retransmit) toward `to` from anyone; -1 if none. The quiescence
-  /// checks assert this stops advancing once ◇P₁ suspects a dead peer.
-  [[nodiscard]] Time last_data_send_to(ProcessId to) const;
-
-  /// Same clock for one directed edge only (-1 if it never carried data) —
-  /// lets partition tests watch a single cut link while same-side traffic
-  /// to the same receiver continues.
+  /// Time of the most recent data transmission (first send or retransmit)
+  /// on one directed edge this instance sends on; -1 if it never carried
+  /// data. The quiescence checks assert it stops advancing once ◇P₁
+  /// suspects the peer.
   [[nodiscard]] Time last_data_send(ProcessId from, ProcessId to) const;
-
-  /// Logical messages accepted but neither delivered nor abandoned yet
-  /// (in the sender queue or the receiver reorder buffer).
-  [[nodiscard]] std::uint64_t logical_in_flight() const {
-    return logical_sends_ - logical_deliveries_ - abandoned_to_dead_;
-  }
 
   /// Every retransmission-timer arming on one directed edge, in order
   /// (the armed *delay*, after jitter). Test instrumentation for the
@@ -170,6 +172,7 @@ class ReliableTransport final : public ekbd::sim::Transport {
     MsgLayer layer = MsgLayer::kOther;
     std::uint64_t logical_seq = 0;
     Time logical_sent_at = 0;
+    bool on_wire = false;  ///< transmitted at least once (sender side)
   };
 
   /// Sender half of one directed edge.
@@ -207,46 +210,15 @@ class ReliableTransport final : public ekbd::sim::Transport {
   [[nodiscard]] bool suspected(ProcessId owner, ProcessId target) const;
   [[nodiscard]] Time jittered(EdgeTx& tx, std::uint64_t key, Time delay);
 
-  /// Adapter welding the shim to the deterministic simulator (the
-  /// historical coupling, now one implementation among three).
-  class SimEnv final : public ArqEnv {
-   public:
-    explicit SimEnv(ekbd::sim::Simulator& sim) : sim_(sim) {}
-    [[nodiscard]] Time now() const override { return sim_.now(); }
-    [[nodiscard]] bool crashed(ProcessId p) const override { return sim_.crashed(p); }
-    std::uint64_t book_logical_send(ProcessId from, ProcessId to,
-                                    const ekbd::sim::Payload& payload,
-                                    MsgLayer layer) override;
-    void book_logical_drop(ProcessId from, ProcessId to, const ekbd::sim::Payload& payload,
-                           MsgLayer layer, std::uint64_t logical_seq) override;
-    void physical_send(ProcessId from, ProcessId to,
-                       const ekbd::sim::Payload& payload) override;
-    void deliver_logical(ProcessId from, ProcessId to, const ekbd::sim::Payload& payload,
-                         MsgLayer layer, std::uint64_t logical_seq, Time sent_at) override;
-    void schedule_on(ProcessId owner, Time delay, std::function<void()> fn) override;
-
-   private:
-    ekbd::sim::Simulator& sim_;
-  };
-
-  // sim_env_ before env_: env_ may point at it.
-  std::unique_ptr<SimEnv> sim_env_;
-  ArqEnv* env_;
-  ekbd::sim::Simulator* sim_ = nullptr;  ///< install/detach only (sim ctor)
+  ekbd::sim::ArqEnv* env_;
   Params params_;
   const ekbd::fd::FailureDetector* detector_;
   std::unordered_map<std::uint64_t, EdgeTx> tx_;
   std::unordered_map<std::uint64_t, EdgeRx> rx_;
-  std::unordered_set<std::uint64_t> dead_edges_;  ///< abandoned directed edges
-  std::unordered_map<ProcessId, Time> last_data_send_to_;
-  std::uint64_t logical_sends_ = 0;
-  std::uint64_t logical_deliveries_ = 0;
-  std::uint64_t physical_data_sends_ = 0;
-  std::uint64_t physical_ack_sends_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t duplicates_suppressed_ = 0;
-  std::uint64_t abandoned_to_dead_ = 0;
-  Time max_rto_reached_ = 0;
+  ArqStats stats_;
 };
+
+/// The run-wide counters of a sim or rt run's per-process ARQs.
+[[nodiscard]] ArqStats sum_stats(const std::vector<std::unique_ptr<ReliableTransport>>& arqs);
 
 }  // namespace ekbd::net

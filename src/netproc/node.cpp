@@ -33,8 +33,7 @@ void NodeEngine::install_arq(net::ReliableTransport::Params params,
                              const fd::FailureDetector* detector) {
   assert(arq_ == nullptr && !started_);
   detector_ = detector;
-  arq_ = std::make_unique<net::ReliableTransport>(static_cast<net::ArqEnv&>(*this),
-                                                  params, detector);
+  arq_ = std::make_unique<net::ReliableTransport>(*this, params, detector);
 }
 
 void NodeEngine::call_after(sim::ProcessId owner, sim::Time delay, std::function<void()> fn) {
@@ -125,7 +124,7 @@ void NodeEngine::transmit(const sim::Message& m) {
   (void)sock_.send_to(ports_[static_cast<std::size_t>(m.to)], buf_, len);
 }
 
-// -- net::ArqEnv -------------------------------------------------------------
+// -- sim::ArqEnv -------------------------------------------------------------
 
 std::uint64_t NodeEngine::book_logical_send(sim::ProcessId from, sim::ProcessId to,
                                             const sim::Payload& payload,
@@ -163,11 +162,6 @@ void NodeEngine::deliver_logical(sim::ProcessId from, sim::ProcessId to,
   m.seq = logical_seq;
   m.payload = payload;
   actor_->on_message(m);
-}
-
-void NodeEngine::schedule_on(sim::ProcessId owner, sim::Time delay,
-                             std::function<void()> fn) {
-  call_after(owner, delay, std::move(fn));
 }
 
 // -- socket pump -------------------------------------------------------------

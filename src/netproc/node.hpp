@@ -21,8 +21,8 @@
 ///    to the kernel, so fault plans replay per seed exactly like the
 ///    simulator's;
 ///  * `net::ReliableTransport` (optional) — the same Stenning ARQ the
-///    other engines use, driven through `net::ArqEnv`; here the
-///    environment is single-threaded, so no lock is needed at all;
+///    other engines use, one instance for this node's process, driven
+///    through `sim::ArqEnv` from the one main thread;
 ///  * the actor — an unmodified diner (plus its hosted ◇P₁ module),
 ///    byte-for-byte the code the simulator runs.
 ///
@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "fd/detector.hpp"
-#include "net/arq_env.hpp"
 #include "net/link_fault_model.hpp"
 #include "net/reliable_transport.hpp"
 #include "netproc/control.hpp"
@@ -61,7 +60,7 @@
 #include "rt/log_io.hpp"
 #include "sim/actor.hpp"
 #include "sim/rng.hpp"
-#include "sim/transport_iface.hpp"
+#include "sim/net_hooks.hpp"
 
 namespace ekbd::netproc {
 
@@ -94,7 +93,7 @@ enum NodeExit : int {
   kNodeLogFailed = 4,  ///< a log write failed: the shipped log has holes
 };
 
-class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
+class NodeEngine final : public sim::ArqEnv {
  public:
   explicit NodeEngine(NodeConfig cfg);
   ~NodeEngine() override;
@@ -162,7 +161,7 @@ class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
   }
   sim::Rng& actor_rng(sim::ProcessId p) override;
 
-  // -- net::ArqEnv ---------------------------------------------------------
+  // -- sim::ArqEnv ---------------------------------------------------------
 
   [[nodiscard]] bool crashed(sim::ProcessId p) const override { return peer_crashed(p); }
   std::uint64_t book_logical_send(sim::ProcessId from, sim::ProcessId to,
@@ -176,8 +175,6 @@ class NodeEngine final : public sim::TransportIface, public net::ArqEnv {
   void deliver_logical(sim::ProcessId from, sim::ProcessId to,
                        const sim::Payload& payload, sim::MsgLayer layer,
                        std::uint64_t logical_seq, sim::Time sent_at) override;
-  void schedule_on(sim::ProcessId owner, sim::Time delay,
-                   std::function<void()> fn) override;
 
  private:
   struct TimerEntry {

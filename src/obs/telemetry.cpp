@@ -46,17 +46,16 @@ void collect_network_metrics(const sim::Network& net, MetricsRegistry& reg) {
   }
 }
 
-void collect_transport_metrics(const net::ReliableTransport& transport,
-                               MetricsRegistry& reg) {
-  reg.counter("arq.logical_sends").value = transport.logical_sends();
-  reg.counter("arq.logical_deliveries").value = transport.logical_deliveries();
-  reg.counter("arq.physical_data_sends").value = transport.physical_data_sends();
-  reg.counter("arq.physical_ack_sends").value = transport.physical_ack_sends();
-  reg.counter("arq.retransmissions").value = transport.retransmissions();
-  reg.counter("arq.dup_suppressed").value = transport.duplicates_suppressed();
-  reg.counter("arq.abandoned").value = transport.abandoned_to_dead();
-  reg.gauge("arq.in_flight").set(static_cast<std::int64_t>(transport.logical_in_flight()));
-  reg.gauge("arq.backoff_peak").set(static_cast<std::int64_t>(transport.max_rto_reached()));
+void collect_transport_metrics(const net::ArqStats& stats, MetricsRegistry& reg) {
+  reg.counter("arq.logical_sends").value = stats.logical_sends;
+  reg.counter("arq.logical_deliveries").value = stats.logical_deliveries;
+  reg.counter("arq.physical_data_sends").value = stats.physical_data_sends;
+  reg.counter("arq.physical_ack_sends").value = stats.physical_ack_sends;
+  reg.counter("arq.retransmissions").value = stats.retransmissions;
+  reg.counter("arq.dup_suppressed").value = stats.duplicates_suppressed;
+  reg.counter("arq.abandoned").value = stats.abandoned_to_dead;
+  reg.gauge("arq.in_flight").set(static_cast<std::int64_t>(stats.logical_in_flight()));
+  reg.gauge("arq.backoff_peak").set(static_cast<std::int64_t>(stats.max_rto_reached));
 }
 
 void collect_mc_metrics(std::uint64_t nodes_executed, std::uint64_t sleep_pruned,

@@ -25,7 +25,7 @@
 #include "sim/simulator.hpp"
 
 namespace ekbd::net {
-class ReliableTransport;
+struct ArqStats;
 }
 
 namespace ekbd::obs {
@@ -48,11 +48,11 @@ void collect_event_log_metrics(const sim::EventLog& log, MetricsRegistry& reg);
 /// mark is the §7-bounded maximum.
 void collect_network_metrics(const sim::Network& net, MetricsRegistry& reg);
 
-/// Snapshot the ARQ shim: "arq.logical_sends", "arq.physical_data_sends",
+/// Snapshot a run's ARQ counters (net::sum_stats over its per-process
+/// transports): "arq.logical_sends", "arq.physical_data_sends",
 /// "arq.retransmissions", "arq.dup_suppressed", "arq.abandoned",
 /// "arq.backoff_peak" (highest RTO the backoff reached), "arq.in_flight".
-void collect_transport_metrics(const net::ReliableTransport& transport,
-                               MetricsRegistry& reg);
+void collect_transport_metrics(const net::ArqStats& stats, MetricsRegistry& reg);
 
 /// Snapshot a model-checking run: "mc.nodes_executed", "mc.sleep_pruned",
 /// "mc.states_per_sec" (0 when `wall_seconds` <= 0) and

@@ -148,8 +148,8 @@ class Recorder final : public dining::TraceSink {
                    lost ? std::optional(loss) : std::nullopt);
   }
 
-  /// A stamped message could not be enqueued (full mailbox under an ARQ
-  /// engine's lock, where blocking would deadlock): written off as a wire
+  /// A stamped message could not be enqueued (a full mailbox, and the
+  /// sender has an ARQ, so it does not block): written off as a wire
   /// loss. The ARQ retransmits it; detector traffic is loss-tolerant by
   /// design — either way a dropped-at-the-door message is semantically a
   /// lost datagram.
@@ -179,22 +179,20 @@ class Recorder final : public dining::TraceSink {
                  m));
   }
 
-  // -- logical-layer hooks (rt::RtArq) -----------------------------------
+  // -- logical-layer hooks (Runtime's sim::ArqEnv) -----------------------
   //
-  // When an ARQ shim carries a layer, its *logical* messages are recorded
-  // on their own layer — the split the simulator's transport mode uses —
+  // When an ARQ carries a layer, its *logical* messages are recorded on
+  // their own layer — the split the simulator's transport mode uses —
   // while the physical kTransport segments go through on_send/on_deliver
   // above. The §7 channel-bound and quiescence monitors read the logical
   // books; retransmit overhead shows up as the gap between the kTransport
-  // and logical streams.
+  // and logical streams. A logical seq is the sender's own counter, so
+  // (sender, seq) pairs a send with its delivery or drop.
 
-  /// The ARQ accepted one logical message: emits kSend on its own layer
-  /// and returns the segment-assigned, globally unique seq that the
-  /// matching delivery or drop must carry.
-  std::uint64_t on_logical_send(sim::ProcessId from, sim::ProcessId to, sim::PayloadTag tag,
-                                sim::MsgLayer layer, sim::Time now) {
-    return append(event(now, sim::LoggedEvent::Kind::kSend, from, to, layer, 0, tag),
-                  /*numbered=*/true);
+  /// The ARQ accepted one logical message: emits kSend on its own layer.
+  void on_logical_send(sim::ProcessId from, sim::ProcessId to, sim::PayloadTag tag,
+                       sim::MsgLayer layer, std::uint64_t logical_seq, sim::Time now) {
+    append(event(now, sim::LoggedEvent::Kind::kSend, from, to, layer, logical_seq, tag));
   }
 
   /// The ARQ released one logical message, in order, to the receiving
@@ -204,7 +202,7 @@ class Recorder final : public dining::TraceSink {
     append(event(now, sim::LoggedEvent::Kind::kDeliver, from, to, layer, logical_seq, tag));
   }
 
-  /// The ARQ wrote off one logical message to a dead/unreachable peer.
+  /// The ARQ wrote off one logical message to a dead peer.
   void on_logical_drop(sim::ProcessId from, sim::ProcessId to, sim::PayloadTag tag,
                        sim::MsgLayer layer, std::uint64_t logical_seq, sim::Time now) {
     append(event(now, sim::LoggedEvent::Kind::kDrop, from, to, layer, logical_seq, tag));

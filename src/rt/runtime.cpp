@@ -217,13 +217,49 @@ void Runtime::send(sim::ProcessId from, sim::ProcessId to, const sim::Payload& p
                    sim::MsgLayer layer) {
   if (to < 0 || static_cast<std::size_t>(to) >= cells_.size()) return;
   if (from >= 0 && crashed(from)) return;  // a dead process sends nothing
-  if (transport_ != nullptr && transport_->covers(layer)) {
+  sim::Transport* arq = from >= 0 ? cells_[static_cast<std::size_t>(from)]->transport : nullptr;
+  if (arq != nullptr && arq->covers(layer)) {
     // Runs in the sender's dispatch context (handlers are the only senders
-    // once started) — the same context raw_send assumes.
-    transport_->logical_send(from, to, payload, layer);
+    // once started): the sender's own transport, under its own claim.
+    arq->logical_send(from, to, payload, layer);
     return;
   }
   raw_send(from, to, payload, layer);
+}
+
+void Runtime::set_transports(const std::vector<sim::Transport*>& transports) {
+  assert(!started_.load(std::memory_order_relaxed) && transports.size() == cells_.size() &&
+         "install one transport per actor before start()");
+  for (std::size_t p = 0; p < cells_.size(); ++p) cells_[p]->transport = transports[p];
+}
+
+std::uint64_t Runtime::book_logical_send(sim::ProcessId from, sim::ProcessId to,
+                                         const sim::Payload& payload, sim::MsgLayer layer) {
+  const std::uint64_t seq = cells_[static_cast<std::size_t>(from)]->next_logical_seq++;
+  rec_.on_logical_send(from, to, sim::payload_tag(payload), layer, seq, now());
+  return seq;
+}
+
+void Runtime::book_logical_drop(sim::ProcessId from, sim::ProcessId to,
+                                const sim::Payload& payload, sim::MsgLayer layer,
+                                std::uint64_t logical_seq) {
+  rec_.on_logical_drop(from, to, sim::payload_tag(payload), layer, logical_seq, now());
+}
+
+void Runtime::deliver_logical(sim::ProcessId from, sim::ProcessId to,
+                              const sim::Payload& payload, sim::MsgLayer layer,
+                              std::uint64_t logical_seq, sim::Time sent_at) {
+  const sim::Time t = now();
+  rec_.on_logical_deliver(from, to, sim::payload_tag(payload), layer, logical_seq, t);
+  sim::Message m;
+  m.from = from;
+  m.to = to;
+  m.sent_at = sent_at;
+  m.deliver_at = t;
+  m.layer = layer;
+  m.seq = logical_seq;
+  m.payload = payload;
+  actors_[static_cast<std::size_t>(to)]->on_message(m);
 }
 
 void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
@@ -267,14 +303,13 @@ void Runtime::raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payloa
 bool Runtime::enqueue(std::uint32_t idx, const sim::Message& m) {
   ActorCell& cell = *cells_[idx];
   assert(cell.mailbox && "mailboxes are built in start(): send after it");
-  if (transport_ == nullptr) {
+  if (m.from < 0 || cells_[static_cast<std::size_t>(m.from)]->transport == nullptr) {
     push_blocking(idx, m);
     return true;
   }
-  // An ARQ shim calls raw_send while holding its own lock; blocking (or
-  // help-dispatching, which runs handlers that may re-enter the shim)
-  // could deadlock. A full mailbox becomes a wire loss instead — exactly
-  // what the ARQ exists to absorb.
+  // On a lossy network a full mailbox is one more wire loss, which the ARQ
+  // exists to absorb: the sender never stalls (or help-dispatches) behind
+  // a slow peer.
   if (cell.mailbox->try_push(m)) {
     schedule(idx);
     return true;
@@ -575,12 +610,12 @@ void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
     for (std::size_t i = 0; i < n; ++i) {
       rec_.on_deliver(buf[i], clock_.now_ticks(), dead);
       if (!dead) {
-        // ARQ segments go to the shim (which reassembles and re-enters the
-        // actor via dispatch_logical, still inside this dispatch slot);
-        // everything else — and anything the shim does not recognize —
-        // goes to the actor.
-        if (transport_ != nullptr && buf[i].layer == sim::MsgLayer::kTransport &&
-            transport_->on_physical_deliver(buf[i])) {
+        // ARQ segments go to this actor's transport (which reassembles and
+        // re-enters the actor via deliver_logical, still inside this
+        // dispatch slot); everything else — and anything the transport
+        // does not recognize — goes to the actor.
+        if (cell.transport != nullptr && buf[i].layer == sim::MsgLayer::kTransport &&
+            cell.transport->on_physical_deliver(buf[i])) {
           // handled by the shim
         } else {
           a.on_message(buf[i]);

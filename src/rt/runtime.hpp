@@ -28,7 +28,7 @@
 ///    the state word carries the happens-before edge when the claim
 ///    migrates between threads. "Owner thread" in the TransportIface
 ///    contract becomes "owner's dispatch claim"; every owner-context API
-///    (set_timer, call_after, dispatch_logical) keeps its contract.
+///    (set_timer, call_after, the ArqEnv hooks) keeps its contract.
 ///  * A dispatch run fires due timers first (pump cadence survives
 ///    message floods), then bulk-drains the mailbox
 ///    (`MpscRingMailbox::pop_n`, 16 at a time) up to 64 handler
@@ -141,7 +141,7 @@ struct Options {
   /// scheduled, every sender gets its own net::LinkFaultModel, seeded by
   /// net::fault_seed(seed, sender), which decides the fate of each of its
   /// physical sends on every layer. Otherwise no model exists. The lossy
-  /// scenarios put an rt::RtArq on top, as the sim and proc engines do.
+  /// scenarios put one ARQ per actor on top, as the sim and proc engines do.
   net::LinkFaultParams link_faults{};
   std::vector<net::Partition> partitions;
   std::vector<net::EdgeCut> edge_cuts;
@@ -173,7 +173,7 @@ struct ExecutorStats {
   std::uint64_t parks = 0;        ///< condvar waits
 };
 
-class Runtime final : public sim::TransportIface {
+class Runtime final : public sim::ArqEnv {
  public:
   /// The recorder must outlive the runtime; it is shared with the scenario
   /// layer (monitors, post-run checkers).
@@ -201,36 +201,14 @@ class Runtime final : public sim::TransportIface {
     return actors_[static_cast<std::size_t>(p)].get();
   }
 
-  /// Interpose an ARQ shim (rt::RtArq), mirroring Simulator::set_transport:
-  /// sends on layers the transport covers divert to its logical_send, and
-  /// popped MsgLayer::kTransport messages are offered to its
-  /// on_physical_deliver before the actor sees them. Install before
-  /// start(); not owned; nullptr detaches (before start() or after the
-  /// join, never while workers run). While a transport is installed,
-  /// raw_send never blocks on a full mailbox (the shim calls it while
-  /// holding its own lock): the message is recorded as a congestion loss
-  /// instead, and the ARQ's retransmission makes it good.
-  void set_transport(sim::Transport* t) {
-    assert((!started_.load(std::memory_order_relaxed) || (t == nullptr && joined_)) &&
-           "install the transport before start(), detach it after the join");
-    transport_ = t;
-  }
-  [[nodiscard]] sim::Transport* transport() const { return transport_; }
-
-  /// Physical send, bypassing the transport diversion: the path every
-  /// message took before set_transport existed, and the path the ARQ's own
-  /// segments take. Asks the sender's fault model, records, enqueues.
-  void raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
-                sim::MsgLayer layer);
-
-  /// Hand a reassembled *logical* message straight to `to`'s actor. ARQ
-  /// engines call this from inside `to`'s own dispatch slot (their
-  /// on_physical_deliver runs under `to`'s dispatch claim), so handler
-  /// atomicity per actor is preserved; the caller has already booked the
-  /// delivery through the Recorder's logical hooks.
-  void dispatch_logical(const sim::Message& m) {
-    actors_[static_cast<std::size_t>(m.to)]->on_message(m);
-  }
+  /// Install one transport per actor (index = ProcessId), before start().
+  /// An actor's covered logical sends divert to its transport, and the
+  /// kTransport segments it pops are offered to that transport before the
+  /// actor sees them — always under the actor's own dispatch claim, so a
+  /// transport needs no lock. Not owned. A sender with a transport never
+  /// blocks on a full mailbox: the message is recorded as a congestion
+  /// loss instead, and the ARQ's retransmission makes it good.
+  void set_transports(const std::vector<sim::Transport*>& transports);
 
   // -- fault plan (single-threaded, before start) ------------------------
 
@@ -274,7 +252,7 @@ class Runtime final : public sim::TransportIface {
   /// tests or a chaos driver).
   void request_crash(sim::ProcessId p);
 
-  [[nodiscard]] bool crashed(sim::ProcessId p) const {
+  [[nodiscard]] bool crashed(sim::ProcessId p) const override {
     return cells_[static_cast<std::size_t>(p)]->crashed.load(std::memory_order_acquire);
   }
   /// Tick at which `p` crashed (-1 if alive).
@@ -327,6 +305,25 @@ class Runtime final : public sim::TransportIface {
   sim::Rng& actor_rng(sim::ProcessId p) override {
     return *cells_[static_cast<std::size_t>(p)]->rng;
   }
+
+  // -- sim::ArqEnv (from the owning actor's dispatch claim) --------------
+
+  /// Numbers the message with the sender's own logical counter, so
+  /// (sender, seq) names it in the kSend and the kDeliver or kDrop record.
+  std::uint64_t book_logical_send(sim::ProcessId from, sim::ProcessId to,
+                                  const sim::Payload& payload, sim::MsgLayer layer) override;
+  void book_logical_drop(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
+                         sim::MsgLayer layer, std::uint64_t logical_seq) override;
+  void physical_send(sim::ProcessId from, sim::ProcessId to,
+                     const sim::Payload& payload) override {
+    raw_send(from, to, payload, sim::MsgLayer::kTransport);
+  }
+  /// Runs on `to`'s worker, inside the dispatch that popped the segment:
+  /// calling the actor directly keeps its handlers atomic, and its crash
+  /// flag cannot flip mid-dispatch.
+  void deliver_logical(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
+                       sim::MsgLayer layer, std::uint64_t logical_seq,
+                       sim::Time sent_at) override;
 
  private:
   // Dispatch-state words (ActorCell::state).
@@ -410,6 +407,8 @@ class Runtime final : public sim::TransportIface {
     std::unique_ptr<sim::Rng> rng;        ///< Rng(seed).fork(p + 1)
     /// This sender's link faults (null on the ideal network).
     std::unique_ptr<net::LinkFaultModel> faults;
+    sim::Transport* transport = nullptr;  ///< this actor's ARQ (not owned)
+    std::uint64_t next_logical_seq = 0;   ///< book_logical_send's counter
     sim::Time crash_at = -1;              ///< scheduled crash tick (-1 = none)
     sim::Time recover_at = -1;            ///< scheduled rejoin tick (-1 = none)
     std::size_t mailbox_high_water = 0;   ///< max occupancy seen at a drain
@@ -517,9 +516,13 @@ class Runtime final : public sim::TransportIface {
   /// is full; gives up only at shutdown (the message then stays "in
   /// flight" forever, like an undelivered event at the horizon).
   void push_blocking(std::uint32_t idx, const sim::Message& m);
-  /// push_blocking without a transport; with one, a non-blocking push
-  /// whose failure is recorded as a congestion loss. Returns whether the
-  /// message was enqueued (and scheduled).
+  /// Physical send, past the transport diversion: asks the sender's fault
+  /// model, records, enqueues.
+  void raw_send(sim::ProcessId from, sim::ProcessId to, const sim::Payload& payload,
+                sim::MsgLayer layer);
+  /// push_blocking when the sender has no transport; otherwise a
+  /// non-blocking push whose failure is recorded as a congestion loss.
+  /// Returns whether the message was enqueued (and scheduled).
   bool enqueue(std::uint32_t idx, const sim::Message& m);
 
   Options opt_;
@@ -527,7 +530,6 @@ class Runtime final : public sim::TransportIface {
   std::shared_ptr<net::CutSchedule> cuts_;
   Recorder& rec_;
   TickClock clock_;
-  sim::Transport* transport_ = nullptr;
   std::vector<std::unique_ptr<sim::Actor>> actors_;
   std::vector<std::unique_ptr<ActorCell>> cells_;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< built in start()

@@ -76,7 +76,7 @@ RtScenario::RtScenario(Config cfg)
   if (cfg_.net_mode != NetMode::kIdeal) {
     // Reliable FIFO dining channels over the lossy wire, as on the sim
     // and proc engines; retransmission quiesces on the diners' detector.
-    arq_ = std::make_unique<ekbd::rt::RtArq>(*rt_, cfg_.transport, detectors_.owned.get());
+    arqs_ = install_arqs(*rt_, graph_.size(), cfg_.transport, detectors_.owned.get());
   }
 }
 
@@ -161,7 +161,7 @@ Books RtScenario::books() const {
 
 std::string RtScenario::telemetry_json() const {
   if (metrics_ == nullptr) return "{}";
-  if (arq_ != nullptr) ekbd::obs::collect_transport_metrics(arq_->inner(), *metrics_);
+  if (!arqs_.empty()) ekbd::obs::collect_transport_metrics(arq_stats(), *metrics_);
   const std::string config_extras = ",\"tick_ns\":" + std::to_string(cfg_.rt_tick_ns) +
                                     ",\"shards\":" + std::to_string(rt_->shard_count());
   std::string sections = ",\"executor\":" + executor_json(rt_->stats());

@@ -18,8 +18,9 @@
 ///  * net_mode kLossy / kLossyPartition — as on the sim and proc engines:
 ///    `link_faults` (and under kLossyPartition `partitions` and
 ///    `edge_cuts`) decide the fate of every physical send on every layer,
-///    through one net::LinkFaultModel per sender, and an rt::RtArq with
-///    `transport` rebuilds reliable FIFO channels under the dining layer.
+///    through one net::LinkFaultModel per sender, and one ARQ per actor
+///    with `transport` rebuilds reliable FIFO channels under the dining
+///    layer.
 ///    Mailboxes are FIFO, so `reorder_prob` only counts;
 ///  * observability — the MonitorHub rides the Recorder's streams; an
 ///    EventLog is attached so runs can be replayed (rt/replay.hpp) and
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "obs/perfetto.hpp"
-#include "rt/arq.hpp"
 #include "rt/recorder.hpp"
 #include "rt/runtime.hpp"
 #include "scenario/scenario.hpp"
@@ -72,11 +72,10 @@ class RtScenario : public Reports {
   [[nodiscard]] ekbd::obs::MetricsRegistry* metrics() { return metrics_.get(); }
   /// Online invariant monitors (nullptr unless cfg.observability).
   [[nodiscard]] ekbd::obs::MonitorHub* monitors() { return monitors_.get(); }
-  /// The ARQ under the dining layer (nullptr on the ideal network); read
-  /// its counters after run().
-  [[nodiscard]] const ekbd::net::ReliableTransport* transport() const {
-    return arq_ != nullptr ? &arq_->inner() : nullptr;
-  }
+  /// The per-actor ARQs (empty on the ideal network) and their run-wide
+  /// counters; read them after run().
+  [[nodiscard]] const Arqs& arqs() const { return arqs_; }
+  [[nodiscard]] ekbd::net::ArqStats arq_stats() const { return ekbd::net::sum_stats(arqs_); }
 
   [[nodiscard]] Books books() const override;
 
@@ -113,7 +112,7 @@ class RtScenario : public Reports {
   DetectorSet detectors_;
   std::unique_ptr<ekbd::dining::Harness> harness_;
   std::vector<ekbd::dining::Diner*> diners_;
-  std::unique_ptr<ekbd::rt::RtArq> arq_;  ///< after rt_ and detectors_: dies first
+  Arqs arqs_;  ///< after rt_ and detectors_: dies first
   std::vector<ekbd::obs::CounterSample> counter_samples_;
   bool ran_ = false;
 };

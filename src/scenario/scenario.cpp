@@ -268,8 +268,7 @@ Scenario::Scenario(Config cfg)
     // The shim consults the same (possibly sabotaged) oracle the diners
     // use, so retransmission quiesces exactly when the algorithm gives up
     // on a peer.
-    transport_ = std::make_unique<ekbd::net::ReliableTransport>(*sim_, cfg_.transport,
-                                                                detector_);
+    arqs_ = install_arqs(*sim_, graph_.size(), cfg_.transport, detector_);
   }
 
   // -- harness + diners ---------------------------------------------------
@@ -379,7 +378,7 @@ Time Scenario::fd_convergence_estimate() const {
 
 std::string Scenario::telemetry_json() const {
   if (metrics_ == nullptr) return "{}";
-  if (transport_ != nullptr) ekbd::obs::collect_transport_metrics(*transport_, *metrics_);
+  if (!arqs_.empty()) ekbd::obs::collect_transport_metrics(arq_stats(), *metrics_);
   return telemetry_line(cfg_, books(), *metrics_);
 }
 

@@ -257,6 +257,28 @@ std::vector<ekbd::dining::Diner*> add_diners(const Config& cfg,
   return diners;
 }
 
+/// The per-process ARQs of a sim or rt run.
+using Arqs = std::vector<std::unique_ptr<ekbd::net::ReliableTransport>>;
+
+/// One ARQ per process on `engine` (the sim Simulator or the rt Runtime),
+/// installed with its `set_transports`: instance p carries p's covered
+/// sends and the segments addressed to p, and only p's context touches
+/// it. The engine keeps raw pointers, so the instances must outlive the
+/// run. `detector` gates retransmission quiescence: pass the diners' own.
+template <typename EngineT>
+[[nodiscard]] Arqs install_arqs(EngineT& engine, std::size_t n,
+                                const ekbd::net::ReliableTransport::Params& params,
+                                const ekbd::fd::FailureDetector* detector) {
+  Arqs arqs;
+  std::vector<ekbd::sim::Transport*> slots;
+  for (std::size_t p = 0; p < n; ++p) {
+    arqs.push_back(std::make_unique<ekbd::net::ReliableTransport>(engine, params, detector));
+    slots.push_back(arqs.back().get());
+  }
+  engine.set_transports(slots);
+  return arqs;
+}
+
 /// Non-owning view of one run's records, the same on every engine: the
 /// conflict graph, the dining Trace, the network books, the EventLog and
 /// the online monitors (each null when not kept), and the crash time of
@@ -334,8 +356,10 @@ class Scenario : public Reports {
   [[nodiscard]] ekbd::fd::AccrualDetector* accrual_detector() { return detectors_.accrual; }
   /// Installed link-fault adversary (nullptr when net_mode == kIdeal).
   [[nodiscard]] ekbd::net::LinkFaultModel* fault_model() { return fault_model_.get(); }
-  /// Installed ARQ shim (nullptr when net_mode == kIdeal).
-  [[nodiscard]] ekbd::net::ReliableTransport* transport() { return transport_.get(); }
+  /// The per-process ARQs, indexed by process (empty when net_mode ==
+  /// kIdeal), and their run-wide counters.
+  [[nodiscard]] const Arqs& arqs() const { return arqs_; }
+  [[nodiscard]] ekbd::net::ArqStats arq_stats() const { return ekbd::net::sum_stats(arqs_); }
   /// Metrics registry (nullptr unless cfg.observability).
   [[nodiscard]] ekbd::obs::MetricsRegistry* metrics() { return metrics_.get(); }
   /// Online invariant monitors (nullptr unless cfg.observability).
@@ -367,10 +391,10 @@ class Scenario : public Reports {
   ekbd::graph::ConflictGraph graph_;
   ekbd::graph::Coloring colors_;
   std::unique_ptr<ekbd::sim::Simulator> sim_;
-  // net objects must outlive nothing that uses them and die before sim_
-  // (the transport detaches from the simulator in its destructor).
+  // The simulator holds raw pointers to both; it never calls them after
+  // its run, so they may die first.
   std::unique_ptr<ekbd::net::LinkFaultModel> fault_model_;
-  std::unique_ptr<ekbd::net::ReliableTransport> transport_;
+  Arqs arqs_;
   DetectorSet detectors_;
   /// Blind/poison wrappers, innermost first; `detector_` is the outermost.
   std::vector<std::unique_ptr<ekbd::fd::FailureDetector>> sabotage_wrappers_;

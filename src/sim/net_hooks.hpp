@@ -1,8 +1,8 @@
 /// \file net_hooks.hpp
-/// Seams between the simulator core and the optional net/ subsystem.
+/// Seams between the engines and the optional net/ subsystem.
 ///
-/// The simulator stays ignorant of how faults are chosen and how
-/// reliability is recovered; it only knows two interposition points:
+/// The engines stay ignorant of how faults are chosen and how reliability
+/// is recovered; they only know three interposition points:
 ///
 ///  * `ChannelAdversary` — consulted once per physical send (timed mode):
 ///    may drop the message in flight, inject a duplicate, or exempt it
@@ -15,15 +15,26 @@
 ///    implements it as a per-edge ARQ (sequence numbers, cumulative acks,
 ///    duplicate suppression, retransmission with capped exponential
 ///    backoff), rebuilding the reliable FIFO channel the paper assumes on
-///    top of a faulty link.
+///    top of a faulty link. Every process has its own instance: the
+///    engine hands a process's logical sends, and the physical segments
+///    addressed to it, to that process's transport, from that process's
+///    own context.
 ///
-/// Both hooks are inert unless installed (Simulator::set_adversary /
-/// set_transport) and apply to ExecMode::kTimed only — controlled-mode
-/// model checking explores the reliable-FIFO model directly.
+///  * `ArqEnv` — the engine as the transport sees it from below: clock,
+///    crash ground truth, logical books, the physical wire and owner-fenced
+///    timers. `sim::Simulator`, `rt::Runtime` and `netproc::NodeEngine`
+///    each implement it once.
+///
+/// The hooks are inert unless installed and apply to ExecMode::kTimed
+/// only — controlled-mode model checking explores the reliable-FIFO model
+/// directly.
 #pragma once
+
+#include <cstdint>
 
 #include "sim/message.hpp"
 #include "sim/time.hpp"
+#include "sim/transport_iface.hpp"
 
 namespace ekbd::sim {
 
@@ -58,17 +69,56 @@ class Transport {
   /// loss-tolerant by design).
   [[nodiscard]] virtual bool covers(MsgLayer layer) const = 0;
 
-  /// Accept a logical message from `from` for in-order reliable delivery
-  /// to `to`. The transport emits physical segments via
-  /// Simulator::raw_send and releases the payload through
-  /// Simulator::deliver_logical once it arrives in order.
+  /// Accept a logical message from `from` (this transport's process) for
+  /// in-order reliable delivery to `to`. The transport emits physical
+  /// segments via ArqEnv::physical_send and releases the payload through
+  /// ArqEnv::deliver_logical once it arrives in order.
   virtual void logical_send(ProcessId from, ProcessId to, const Payload& payload,
                             MsgLayer layer) = 0;
 
-  /// Offer a delivered physical message. Returns true if it was a
-  /// transport segment (consumed); false lets the simulator dispatch it
-  /// to the recipient actor as usual.
+  /// Offer a physical message delivered to this transport's process.
+  /// Returns true if it was a transport segment (consumed); false lets the
+  /// engine dispatch it to the recipient actor as usual.
   virtual bool on_physical_deliver(const Message& m) = 0;
+};
+
+/// The engine under one process's ARQ. Every call comes from the context
+/// of the process that owns the transport, so an engine needs no lock for
+/// it; `call_after(owner, …)` (inherited) arms the retransmission timers,
+/// which die with their owner like every other environment call.
+///
+///  * `book_logical_send` / `book_logical_drop` / `deliver_logical` settle
+///    the *logical* books and emit the kSend / kDrop / kDeliver records;
+///    the §7 channel-bound and quiescence checkers read the same
+///    accounting under every engine. The seq `book_logical_send` returns
+///    travels in the DataSegment, so with the sender id it names the
+///    message in both its kSend and its kDeliver (or kDrop) record;
+///  * `physical_send` transmits one MsgLayer::kTransport segment
+///    best-effort (it may be lost; that is the transport's whole job).
+class ArqEnv : public TransportIface {
+ public:
+  /// Crash ground truth (crash-stop: once true, forever true). Consulted
+  /// only to garbage-collect the queue toward a peer that is both
+  /// suspected and actually dead — quiescence itself is driven by
+  /// suspicion alone.
+  [[nodiscard]] virtual bool crashed(ProcessId p) const = 0;
+
+  /// Book one logical message on its own layer (a kSend record) and
+  /// return its logical sequence number.
+  virtual std::uint64_t book_logical_send(ProcessId from, ProcessId to, const Payload& payload,
+                                          MsgLayer layer) = 0;
+
+  /// Write off one logical message to a dead peer (a kDrop record).
+  virtual void book_logical_drop(ProcessId from, ProcessId to, const Payload& payload,
+                                 MsgLayer layer, std::uint64_t logical_seq) = 0;
+
+  /// Transmit one physical MsgLayer::kTransport segment, best-effort.
+  virtual void physical_send(ProcessId from, ProcessId to, const Payload& payload) = 0;
+
+  /// Release one logical message, in order, to the receiving actor
+  /// (books + kDeliver + dispatch).
+  virtual void deliver_logical(ProcessId from, ProcessId to, const Payload& payload,
+                               MsgLayer layer, std::uint64_t logical_seq, Time sent_at) = 0;
 };
 
 }  // namespace ekbd::sim

@@ -264,9 +264,12 @@ void Simulator::send(ProcessId from, ProcessId to, const Payload& payload,
                      MsgLayer layer) {
   assert(to >= 0 && static_cast<std::size_t>(to) < actors_.size());
   if (crashed(from)) return;  // a dead process sends nothing
-  if (transport_ != nullptr && mode_ == ExecMode::kTimed && transport_->covers(layer)) {
-    transport_->logical_send(from, to, payload, layer);
-    return;
+  if (!transports_.empty() && mode_ == ExecMode::kTimed) {
+    Transport* t = transports_[static_cast<std::size_t>(from)];
+    if (t->covers(layer)) {
+      t->logical_send(from, to, payload, layer);
+      return;
+    }
   }
   raw_send(from, to, payload, layer);
 }
@@ -368,8 +371,29 @@ void Simulator::deliver(const Message& m) {
     emit(LoggedEvent{now_, LoggedEvent::Kind::kDeliver, m.from, m.to, m.layer,
                      m.seq, payload_tag(m.payload)});
   }
-  if (transport_ != nullptr && transport_->on_physical_deliver(m)) return;
+  if (!transports_.empty() && transports_[static_cast<std::size_t>(m.to)]->on_physical_deliver(m)) {
+    return;
+  }
   actors_[static_cast<std::size_t>(m.to)]->on_message(m);
+}
+
+std::uint64_t Simulator::book_logical_send(ProcessId from, ProcessId to, const Payload& payload,
+                                           MsgLayer layer) {
+  const std::uint64_t logical_seq = network_.logical_sent(from, to, layer, now_, crashed(to));
+  if (tracing()) {
+    emit(LoggedEvent{now_, LoggedEvent::Kind::kSend, from, to, layer, logical_seq,
+                     payload_tag(payload)});
+  }
+  return logical_seq;
+}
+
+void Simulator::book_logical_drop(ProcessId from, ProcessId to, const Payload& payload,
+                                  MsgLayer layer, std::uint64_t logical_seq) {
+  network_.logical_dropped(from, to, layer);
+  if (tracing()) {
+    emit(LoggedEvent{now_, LoggedEvent::Kind::kDrop, from, to, layer, logical_seq,
+                     payload_tag(payload)});
+  }
 }
 
 void Simulator::deliver_logical(ProcessId from, ProcessId to, const Payload& payload,

@@ -91,7 +91,7 @@ struct PendingEvent {
   [[nodiscard]] std::string describe() const;
 };
 
-class Simulator final : public TransportIface {
+class Simulator final : public ArqEnv {
  public:
   /// \param seed   master seed for every random stream in the run
   /// \param delays model for message latencies (defaults to Uniform[1,10])
@@ -189,27 +189,29 @@ class Simulator final : public TransportIface {
   void set_adversary(ChannelAdversary* adversary) { adversary_ = adversary; }
   [[nodiscard]] ChannelAdversary* adversary() const { return adversary_; }
 
-  /// Install (or clear with nullptr) a transport shim. Logical sends on
-  /// covered layers are diverted to it; its physical segments are handed
-  /// back to it at delivery time. Not owned; must outlive the run.
-  void set_transport(Transport* transport) { transport_ = transport; }
-  [[nodiscard]] Transport* transport() const { return transport_; }
+  /// Install one transport per process (index = ProcessId; empty clears).
+  /// Process p's covered logical sends divert to transports[p], and the
+  /// physical segments delivered to p are offered to it first. Not owned;
+  /// they must outlive the run.
+  void set_transports(std::vector<Transport*> transports) {
+    transports_ = std::move(transports);
+  }
 
-  /// Physical send that bypasses the transport shim (but not the
-  /// adversary) — the transport's own segments travel through this.
-  void raw_send(ProcessId from, ProcessId to, const Payload& payload, MsgLayer layer);
+  // -- sim::ArqEnv: the transports' view of the simulator ----------------
 
+  std::uint64_t book_logical_send(ProcessId from, ProcessId to, const Payload& payload,
+                                  MsgLayer layer) override;
+  void book_logical_drop(ProcessId from, ProcessId to, const Payload& payload,
+                         MsgLayer layer, std::uint64_t logical_seq) override;
+  void physical_send(ProcessId from, ProcessId to, const Payload& payload) override {
+    raw_send(from, to, payload, MsgLayer::kTransport);
+  }
   /// Hand a transport-released logical message to the recipient actor,
   /// settling the logical channel books and the event log. `logical_seq`
-  /// is the sequence number `Network::logical_sent` returned for it;
-  /// `sent_at` the original logical send time.
+  /// is the sequence number book_logical_send returned for it; `sent_at`
+  /// the original logical send time.
   void deliver_logical(ProcessId from, ProcessId to, const Payload& payload, MsgLayer layer,
-                       std::uint64_t logical_seq, Time sent_at);
-
-  /// Record a logged event with the log and/or streaming sink (no-op when
-  /// neither is attached) — lets the transport record logical sends
-  /// alongside the physical record.
-  void append_log(const LoggedEvent& ev) { emit(ev); }
+                       std::uint64_t logical_seq, Time sent_at) override;
 
   // -- external scheduling (harness / tests) ---------------------------
 
@@ -262,7 +264,7 @@ class Simulator final : public TransportIface {
   /// Recover `p` at absolute time `at`.
   void schedule_recovery(ProcessId p, Time at);
 
-  [[nodiscard]] bool crashed(ProcessId p) const {
+  [[nodiscard]] bool crashed(ProcessId p) const override {
     return crash_times_[static_cast<std::size_t>(p)] >= 0;
   }
 
@@ -402,6 +404,9 @@ class Simulator final : public TransportIface {
   void dispatch(Event&& ev);
   void fire_timer(ProcessId owner, TimerId id);
   [[nodiscard]] bool is_eligible(const ControlledEvent& ev) const;
+  /// Physical send that bypasses the transports (but not the adversary):
+  /// what `send` does on an uncovered layer, and what physical_send does.
+  void raw_send(ProcessId from, ProcessId to, const Payload& payload, MsgLayer layer);
   void deliver(const Message& m);
 
   /// True when anyone is listening for logged events. Every event
@@ -465,7 +470,7 @@ class Simulator final : public TransportIface {
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t events_processed_ = 0;
   ChannelAdversary* adversary_ = nullptr;
-  Transport* transport_ = nullptr;
+  std::vector<Transport*> transports_;  ///< per process; empty = none
   EventLog* event_log_ = nullptr;
   EventSink* sink_ = nullptr;
   SimMetrics metrics_;

@@ -181,11 +181,11 @@ void check_lossy_engine(Engine engine) {
   if constexpr (!std::is_same_v<S, sc::ProcScenario>) {
     // The sim and rt telemetry lines carry the ARQ's counters.
     (void)s.telemetry_json();
-    ASSERT_NE(s.transport(), nullptr);
+    ASSERT_EQ(s.arqs().size(), 6u);
     const auto* sends = s.metrics()->find_counter("arq.logical_sends");
     ASSERT_NE(sends, nullptr);
     EXPECT_GT(sends->get(), 0u);
-    EXPECT_EQ(sends->get(), s.transport()->logical_sends());
+    EXPECT_EQ(sends->get(), s.arq_stats().logical_sends);
   }
 }
 

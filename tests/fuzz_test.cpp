@@ -182,9 +182,10 @@ TEST(Fuzz, LossyAndPartitionedModesKeepEveryGuarantee) {
         // Transport sanity: in-flight stays within the aggregate §7
         // logical bound at the cutoff, and nothing is abandoned toward a
         // live process (abandonment requires suspected AND crashed).
-        EXPECT_LE(s.transport()->logical_in_flight(), 4u * s.graph().num_edges());
+        const ekbd::net::ArqStats arq = s.arq_stats();
+        EXPECT_LE(arq.logical_in_flight(), 4u * s.graph().num_edges());
         if (cfg.crashes.empty()) {
-          EXPECT_EQ(s.transport()->abandoned_to_dead(), 0u);
+          EXPECT_EQ(arq.abandoned_to_dead, 0u);
         }
         // Online monitors agree with the post-hoc checkers even under
         // loss, duplication, reordering and partitions (ARQ mode).

@@ -23,6 +23,7 @@ using ekbd::net::LinkFaultModel;
 using ekbd::net::LinkFaultParams;
 using ekbd::net::Partition;
 using ekbd::net::ReliableTransport;
+using ekbd::scenario::install_arqs;
 using ekbd::sim::EventLog;
 using ekbd::sim::FaultDecision;
 using ekbd::sim::LoggedEvent;
@@ -157,7 +158,7 @@ ArqRun run_arq(std::uint64_t sim_seed, std::uint64_t fault_seed, LinkFaultParams
   IntSink* sink = sim.make_actor<IntSink>();  // process 1: receiver
   LinkFaultModel adversary(fault_seed, faults);
   sim.set_adversary(&adversary);
-  ReliableTransport rt(sim, ReliableTransport::Params{});
+  const auto arqs = install_arqs(sim, 2, ReliableTransport::Params{}, nullptr);
   sim.start();
   for (int i = 0; i < messages; ++i) {
     sim.schedule(1 + spacing * i, [&sim, i] { sim.send(0, 1, i, MsgLayer::kOther); });
@@ -167,9 +168,10 @@ ArqRun run_arq(std::uint64_t sim_seed, std::uint64_t fault_seed, LinkFaultParams
   ArqRun out;
   out.got = sink->got;
   out.times = sink->times;
-  out.retransmissions = rt.retransmissions();
-  out.duplicates_suppressed = rt.duplicates_suppressed();
-  out.physical_data_sends = rt.physical_data_sends();
+  const ekbd::net::ArqStats stats = ekbd::net::sum_stats(arqs);
+  out.retransmissions = stats.retransmissions;
+  out.duplicates_suppressed = stats.duplicates_suppressed;
+  out.physical_data_sends = stats.physical_data_sends;
   const auto logical = sim.network().channel(0, 1, MsgLayer::kOther);
   out.logical_total = logical.total;
   out.logical_in_transit_end = logical.in_transit;
@@ -245,7 +247,7 @@ TEST(ReliableTransport, DuplicateAckForTheHeadResendsItAtOnce) {
   ReliableTransport::Params params;
   params.rto_initial = 1'000;
   params.rto_max = 1'000;
-  ReliableTransport arq(sim, params);
+  const auto arqs = install_arqs(sim, 2, params, nullptr);
   sim.start();
   sim.schedule(1, [&sim] { sim.send(0, 1, 0, MsgLayer::kOther); });
   sim.schedule(2, [&sim] { sim.send(0, 1, 1, MsgLayer::kOther); });
@@ -253,20 +255,21 @@ TEST(ReliableTransport, DuplicateAckForTheHeadResendsItAtOnce) {
 
   ASSERT_EQ(sink->got, (std::vector<int>{0, 1}));
   EXPECT_LT(sink->times[0], 100) << "the head waited for the retransmission timer";
-  EXPECT_EQ(arq.retransmissions(), 1u);
+  EXPECT_EQ(arqs[0]->stats().retransmissions, 1u);
 }
 
 TEST(ReliableTransport, DetectorLayerStaysRaw) {
   Simulator sim(5);
   sim.make_actor<IntSink>();
   IntSink* sink = sim.make_actor<IntSink>();
-  ReliableTransport rt(sim, ReliableTransport::Params{});
+  const auto arqs = install_arqs(sim, 2, ReliableTransport::Params{}, nullptr);
   sim.start();
   sim.schedule(1, [&sim] { sim.send(0, 1, 7, MsgLayer::kDetector); });
   sim.run_until(1'000);
   ASSERT_EQ(sink->got.size(), 1u);  // delivered — but not via the ARQ
-  EXPECT_EQ(rt.logical_sends(), 0u);
-  EXPECT_EQ(rt.physical_data_sends(), 0u);
+  const ekbd::net::ArqStats stats = ekbd::net::sum_stats(arqs);
+  EXPECT_EQ(stats.logical_sends, 0u);
+  EXPECT_EQ(stats.physical_data_sends, 0u);
   EXPECT_EQ(sim.network().total_sent(MsgLayer::kTransport), 0u);
 }
 
@@ -344,14 +347,14 @@ std::pair<std::vector<Time>, std::vector<Time>> backoff_schedules(
   sim.make_actor<IntSink>();
   LinkFaultModel blackhole(1, LinkFaultParams{.drop_prob = 1.0});
   sim.set_adversary(&blackhole);
-  ReliableTransport arq(sim, params);
+  const auto arqs = install_arqs(sim, 3, params, nullptr);
   sim.start();
   sim.schedule(1, [&sim] {
     sim.send(0, 1, 7, MsgLayer::kOther);
     sim.send(0, 2, 7, MsgLayer::kOther);
   });
   sim.run_until(40'000);
-  return {arq.armed_delays(0, 1), arq.armed_delays(0, 2)};
+  return {arqs[0]->armed_delays(0, 1), arqs[0]->armed_delays(0, 2)};
 }
 
 TEST(RtoJitter, DisabledJitterArmsBothEdgesInLockstep) {

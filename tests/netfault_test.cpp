@@ -85,12 +85,13 @@ TEST(NetFault, LossyLinksKeepEveryPaperProperty) {
     // The link was genuinely hostile and the shim genuinely absorbed it.
     ASSERT_NE(s.fault_model(), nullptr);
     EXPECT_GT(s.fault_model()->drops(), 0u);
-    EXPECT_GT(s.transport()->retransmissions(), 0u);
-    EXPECT_GT(s.transport()->overhead(), 1.0);
+    const ekbd::net::ArqStats arq = s.arq_stats();
+    EXPECT_GT(arq.retransmissions, 0u);
+    EXPECT_GT(arq.overhead(), 1.0);
     // The cutoff catches the system mid-cycle, so a few messages are
     // legitimately in flight — but never more than the §7 logical bound
     // (≤ 4 dining messages per edge) allows in aggregate.
-    EXPECT_LE(s.transport()->logical_in_flight(), 4u * s.graph().num_edges());
+    EXPECT_LE(arq.logical_in_flight(), 4u * s.graph().num_edges());
   }
 }
 
@@ -128,8 +129,8 @@ TEST(NetFault, FinitePartitionHealsAndPropertiesRecover) {
   EXPECT_EQ(s.fault_model()->last_heal_time(), 18'000);
   // No logical message was lost to a live process: false suspicions pause
   // retransmission, they never abandon the queue.
-  EXPECT_EQ(s.transport()->abandoned_to_dead(), 0u);
-  EXPECT_LE(s.transport()->logical_in_flight(), 4u * s.graph().num_edges());
+  EXPECT_EQ(s.arq_stats().abandoned_to_dead, 0u);
+  EXPECT_LE(s.arq_stats().logical_in_flight(), 4u * s.graph().num_edges());
   // The partition boundaries are on the record.
   EXPECT_EQ(s.trace().count(ekbd::dining::TraceEventKind::kPartitionCut), 1u);
   EXPECT_EQ(s.trace().count(ekbd::dining::TraceEventKind::kPartitionHeal), 1u);
@@ -147,14 +148,22 @@ TEST(NetFault, RetransmissionQuiescesTowardCrashedPeer) {
   Scenario s(cfg);
 
   s.run_until(35'000);  // ample time for heartbeat suspicion to settle
-  ASSERT_NE(s.transport(), nullptr);
-  const Time phys_mark = s.transport()->last_data_send_to(crashed);
+  // The latest data segment any process sent toward the crashed one.
+  const auto last_data_send_to = [&s](ProcessId to) {
+    Time last = -1;
+    for (std::size_t p = 0; p < s.arqs().size(); ++p) {
+      last = std::max(last, s.arqs()[p]->last_data_send(static_cast<ProcessId>(p), to));
+    }
+    return last;
+  };
+  ASSERT_FALSE(s.arqs().empty());
+  const Time phys_mark = last_data_send_to(crashed);
   const Time logical_mark = s.sim().network().last_send_to(crashed, MsgLayer::kDining);
   EXPECT_TRUE(s.detector().suspects((crashed + 1) % 6, crashed));
 
   s.run_until(70'000);
   // Quiescent: not one more data segment, not one more logical send.
-  EXPECT_EQ(s.transport()->last_data_send_to(crashed), phys_mark);
+  EXPECT_EQ(last_data_send_to(crashed), phys_mark);
   EXPECT_EQ(s.sim().network().last_send_to(crashed, MsgLayer::kDining), logical_mark);
   // And the freeze happened promptly after the crash, not at the horizon.
   EXPECT_LT(phys_mark, 35'000);
@@ -189,15 +198,15 @@ TEST(NetFault, PermanentPartitionIsOutsideTheEnvelopeButDegradesGracefully) {
   // Watch the cut edges themselves: 4 still receives plenty from 5 (same
   // side), so the aggregate per-receiver clock keeps ticking — only the
   // per-edge clocks across the cut must freeze.
-  const Time mark_34 = s.transport()->last_data_send(3, 4);
-  const Time mark_07 = s.transport()->last_data_send(0, 7);
+  const Time mark_34 = s.arqs()[3]->last_data_send(3, 4);
+  const Time mark_07 = s.arqs()[0]->last_data_send(0, 7);
 
   s.run_until(100'000);
   // Cross-cut transport traffic quiesced (the peer is live — so the queue
   // is retained, not abandoned — but nothing is transmitted while the
   // permanent suspicion stands).
-  EXPECT_EQ(s.transport()->last_data_send(3, 4), mark_34);
-  EXPECT_EQ(s.transport()->last_data_send(0, 7), mark_07);
+  EXPECT_EQ(s.arqs()[3]->last_data_send(3, 4), mark_34);
+  EXPECT_EQ(s.arqs()[0]->last_data_send(0, 7), mark_07);
   // Both fragments keep eating: wait-freedom *per side* survives because
   // Algorithm 1 treats suspected neighbors as crashed and proceeds.
   s.harness().trace().set_end_time(100'000);

@@ -569,7 +569,7 @@ TEST(Telemetry, CollectorsSnapshotNetworkLogAndMcNumbers) {
   // Retransmissions make physical ≥ logical on the covered layer.
   EXPECT_GE(transport_sent->get(), dining_sent->get());
 
-  obs::collect_transport_metrics(*s.transport(), reg);
+  obs::collect_transport_metrics(s.arq_stats(), reg);
   EXPECT_GT(reg.find_counter("arq.logical_sends")->get(), 0u);
   EXPECT_GT(reg.find_counter("arq.retransmissions")->get(), 0u);
 

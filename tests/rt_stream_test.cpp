@@ -23,6 +23,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/monitors.hpp"
@@ -35,6 +36,7 @@
 namespace {
 
 using ekbd::sim::LoggedEvent;
+using ekbd::sim::ProcessId;
 using ekbd::sim::Time;
 
 ekbd::scenario::Config stream_config(std::uint64_t seed) {
@@ -69,11 +71,13 @@ void expect_books_coherent(ekbd::scenario::RtScenario& s, const std::string& wha
 }
 
 /// Structural invariants of a valid linearization, checked on the merged
-/// streaming books: nondecreasing timestamps, globally unique kSend seqs,
-/// and no delivery/drop of a seq before its send.
+/// streaming books: nondecreasing timestamps, kSend names unique per
+/// sender — (sender, seq) names a message, as on every engine: ARQ logical
+/// seqs are the sender's own counter — and no delivery/drop of a message
+/// before its send.
 void expect_log_well_formed(const ekbd::sim::EventLog& log) {
   Time prev = -1;
-  std::set<std::uint64_t> sends;
+  std::set<std::pair<ProcessId, std::uint64_t>> sends;
   std::uint64_t n_sends = 0;
   for (const LoggedEvent& ev : log.events()) {
     EXPECT_GE(ev.at, prev) << "merged log went back in time";
@@ -84,14 +88,14 @@ void expect_log_well_formed(const ekbd::sim::EventLog& log) {
         // A duplicate is stamped as its own in-flight message with a
         // fresh seq — an origin event, exactly like a send.
         ++n_sends;
-        sends.insert(ev.seq);
+        sends.insert({ev.from, ev.seq});
         break;
       case LoggedEvent::Kind::kDeliver:
       case LoggedEvent::Kind::kDrop:
         // Every effect of a message merges after its send: the recorder's
         // (key, merge_class) order makes a same-instant deliver-before-
         // send impossible.
-        EXPECT_EQ(sends.count(ev.seq), 1u)
+        EXPECT_EQ(sends.count({ev.from, ev.seq}), 1u)
             << "seq " << ev.seq << " delivered/dropped before its send";
         break;
       default:

@@ -24,7 +24,6 @@
 #include "graph/coloring.hpp"
 #include "graph/topology.hpp"
 #include "obs/monitors.hpp"
-#include "rt/arq.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/recorder.hpp"
 #include "rt/replay.hpp"
@@ -540,8 +539,8 @@ TEST(RtReplayTest, ReplayReproducesLiveMonitorVerdicts) {
 
 // ------------------------------------------------------------ ARQ over rt
 
-// The rt lossy network, wired by hand: with an RtArq installed, dining
-// traffic rides the ARQ while the senders' fault models attack its
+// The rt lossy network, wired by hand: with one ARQ per actor installed,
+// dining traffic rides the ARQ while the senders' fault models attack its
 // physical kTransport segments, so the faults reach the dining layer
 // without violating the paper's reliable-channel assumption, and the
 // monitors must stay in full agreement.
@@ -578,12 +577,14 @@ TEST(RtArqTest, DiningTrafficRidesArqUnderDropDupCoins) {
   }
   rt.schedule_crash(2, 800);
 
-  ekbd::rt::RtArq arq(rt, ekbd::net::ReliableTransport::Params{}, &detector);
+  const auto arqs = ekbd::scenario::install_arqs(rt, g.size(),
+                                                 ekbd::net::ReliableTransport::Params{}, &detector);
   rt.run_for(2'500);
 
   // The coins were live and the ARQ actually repaired their damage.
-  EXPECT_GT(arq.inner().retransmissions(), 0u) << "drop coins never hit the ARQ";
-  EXPECT_GT(arq.inner().duplicates_suppressed(), 0u) << "dup coins never hit the ARQ";
+  const ekbd::net::ArqStats stats = ekbd::net::sum_stats(arqs);
+  EXPECT_GT(stats.retransmissions, 0u) << "drop coins never hit the ARQ";
+  EXPECT_GT(stats.duplicates_suppressed, 0u) << "dup coins never hit the ARQ";
   // Dining traffic went through: logical dining books and physical
   // transport books both populated.
   EXPECT_GT(rec.network().total_sent(MsgLayer::kDining), 0u);

@@ -927,9 +927,12 @@ std::uint64_t books_digest(const ekbd::sim::Network& net, std::size_t n) {
   return h;
 }
 
-// Golden values recorded with the hash-map books the dense rows replaced:
-// a sparse(1024) run on a lossy network (drops, duplicates, reordering,
-// the ARQ on top) with one crash, read through every book query.
+// Golden values of a sparse(1024) run on a lossy network (drops,
+// duplicates, reordering, the ARQ on top) with one crash, read through
+// every book query. First recorded with the hash-map books the dense rows
+// replaced; re-recorded when the ARQ became one instance per process (a
+// crashed sender's retransmission timers now die with it, which changes
+// this crash run's schedule).
 TEST(Network, BooksOfASparse1024LossyRunMatchTheHashMapBooks) {
   ekbd::scenario::Config cfg;
   cfg.seed = 11;
@@ -949,10 +952,10 @@ TEST(Network, BooksOfASparse1024LossyRunMatchTheHashMapBooks) {
   EXPECT_EQ(cs.max_in_transit, 3);
   EXPECT_EQ(net.channel(peer, 700, MsgLayer::kTransport).total, 43u);
   EXPECT_EQ(net.max_in_transit_any(MsgLayer::kDining), 4);
-  EXPECT_EQ(net.max_in_transit_any(MsgLayer::kTransport), 43);
-  EXPECT_EQ(net.sends_to_crashed(700, MsgLayer::kDining), 4u);
+  EXPECT_EQ(net.max_in_transit_any(MsgLayer::kTransport), 40);
+  EXPECT_EQ(net.sends_to_crashed(700, MsgLayer::kDining), 6u);
   EXPECT_EQ(net.sends_to_crashed(700, MsgLayer::kDetector), 317u);
-  EXPECT_EQ(books_digest(net, cfg.n), 0x58F9804DFB133A99ULL);
+  EXPECT_EQ(books_digest(net, cfg.n), 0xBE58A651262D7CF4ULL);
 }
 
 }  // namespace
