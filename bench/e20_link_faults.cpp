@@ -28,7 +28,9 @@
 // ◇P₁ suspicion.
 //
 // Flags: --smoke (CI-sized grid) and --json PATH (machine-readable rows,
-// written as BENCH_e20.json by the CI smoke step).
+// written as BENCH_e20.json by the CI smoke step). Exits 1 if an
+// in-envelope row loses a property, or if a row that neither loses nor
+// reorders retransmits more than 1% of its data segments.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -65,6 +67,7 @@ struct RowResult {
   bool in_envelope = true;
   double overhead_sum = 0.0;
   std::uint64_t retransmissions = 0;
+  std::uint64_t data_segments = 0;  // physical data sends, retransmissions included
   std::uint64_t dup_suppressed = 0;
   std::uint64_t response_sum = 0;  // pooled hungry->eat waits
   std::uint64_t response_count = 0;
@@ -205,6 +208,7 @@ int main(int argc, char** argv) {
         const net::ArqStats arq = s.arq_stats();
         res.overhead_sum += arq.overhead();
         res.retransmissions += arq.retransmissions;
+        res.data_segments += arq.physical_data_sends;
         res.dup_suppressed += arq.duplicates_suppressed;
       } else {
         res.overhead_sum += 1.0;  // ideal mode: no shim, no overhead
@@ -272,9 +276,20 @@ int main(int argc, char** argv) {
     out << "]}\n";
   }
 
-  // CI treats a non-zero exit as a property regression.
+  // CI treats a non-zero exit as a property regression. A row that loses
+  // and reorders nothing has no gap to repair: its acks never ask for a
+  // resend, so more than 1% retransmitted data segments is a regression
+  // too (a duplicate must not read as a lost head).
   for (const RowResult& res : results) {
     if (res.in_envelope && res.property_passes != res.seeds) return 1;
+    const bool gapless = res.row->drop == 0 && res.row->reorder == 0 &&
+                         res.row->partition_len == 0;
+    if (gapless && 100 * res.retransmissions > res.data_segments) {
+      std::fprintf(stderr, "%s: %llu of %llu data segments retransmitted\n", res.row->label,
+                   static_cast<unsigned long long>(res.retransmissions),
+                   static_cast<unsigned long long>(res.data_segments));
+      return 1;
+    }
   }
   return 0;
 }

@@ -309,32 +309,47 @@ Time k_bound_establishment(const std::vector<OvertakeObservation>& census, int k
 
 ConcurrencyReport concurrency_profile(const Trace& trace, const ConflictGraph& g) {
   ConcurrencyReport report;
-  std::unordered_set<ProcessId> eating;
+  // A new eater overlaps every current eater but its eating neighbours:
+  // one pass over its adjacency, not over the eaters.
+  std::vector<char> eating(g.size(), 0);
+  std::uint64_t eaters = 0;
   Time prev = 0;
   double weighted = 0.0;
   const Time horizon = trace.end_time();
   for (const TraceEvent& e : trace.events()) {
-    weighted += static_cast<double>(eating.size()) * static_cast<double>(e.at - prev);
+    weighted += static_cast<double>(eaters) * static_cast<double>(e.at - prev);
     prev = e.at;
     switch (e.kind) {
-      case TraceEventKind::kStartEating:
-        for (ProcessId q : eating) {
-          if (!g.adjacent(e.process, q)) ++report.nonneighbor_overlaps;
+      case TraceEventKind::kStartEating: {
+        char& self = eating[static_cast<std::size_t>(e.process)];
+        std::uint64_t eating_neighbors = 0;
+        for (ProcessId q : g.neighbors(e.process)) {
+          eating_neighbors += eating[static_cast<std::size_t>(q)] != 0 ? 1 : 0;
         }
-        eating.insert(e.process);
+        report.nonneighbor_overlaps += eaters - eating_neighbors;
+        if (self == 0) {
+          self = 1;
+          ++eaters;
+        }
         report.max_concurrent_eaters =
-            std::max(report.max_concurrent_eaters, static_cast<int>(eating.size()));
+            std::max(report.max_concurrent_eaters, static_cast<int>(eaters));
         break;
+      }
       case TraceEventKind::kStopEating:
-      case TraceEventKind::kCrashed:
-        eating.erase(e.process);
+      case TraceEventKind::kCrashed: {
+        char& self = eating[static_cast<std::size_t>(e.process)];
+        if (self != 0) {
+          self = 0;
+          --eaters;
+        }
         break;
+      }
       default:
         break;
     }
   }
   if (horizon > prev) {
-    weighted += static_cast<double>(eating.size()) * static_cast<double>(horizon - prev);
+    weighted += static_cast<double>(eaters) * static_cast<double>(horizon - prev);
   }
   if (horizon > 0) report.mean_concurrent_eaters = weighted / static_cast<double>(horizon);
   return report;

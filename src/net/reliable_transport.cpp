@@ -120,6 +120,7 @@ void ReliableTransport::on_timer(ProcessId from, ProcessId to, std::uint64_t gen
   }
   // Go-back-N: retransmit everything outstanding (cumulative acks make
   // redundant copies harmless), then back off exponentially up to the cap.
+  tx.fast_resent = kNoSeq;
   for (const auto& [seq, pm] : tx.unacked) {
     transmit(from, to, tx, seq);
     ++stats_.retransmissions;
@@ -178,7 +179,7 @@ void ReliableTransport::handle_data(const ekbd::sim::Message& m, const DataSegme
   }
   // Always (re-)acknowledge: a duplicate usually means our previous ack
   // was lost, and cumulative acks are idempotent.
-  env_->physical_send(m.to, m.from, AckSegment{rx.expected});
+  env_->physical_send(m.to, m.from, AckSegment{rx.expected, !rx.buffered.empty()});
   ++stats_.physical_ack_sends;
 }
 
@@ -196,17 +197,23 @@ void ReliableTransport::handle_ack(const ekbd::sim::Message& m, const AckSegment
     tx.timer_armed = false;
     ++tx.timer_gen;  // cancel the pending retransmission
     tx.rto = params_.rto_initial;
-  } else if (progress) {
+    return;
+  }
+  if (progress) {
     // Fresh evidence the link works: reset the backoff and restart the
     // clock for the remaining queue.
     tx.rto = params_.rto_initial;
     arm_timer(m.to, m.from, tx, tx.rto);
-  } else if (tx.unacked.begin()->first == ack.cumulative && !suspected(m.to, m.from)) {
-    // The receiver got some other segment and still waits for the head,
-    // most often because the head was lost. Resend it now: the timer could
-    // take a whole rto_max, since a healed partition leaves the backoff at
-    // its cap. The timer and its backoff stay as they are.
-    transmit(m.to, m.from, tx, ack.cumulative);
+  }
+  const std::uint64_t head = tx.unacked.begin()->first;
+  if (ack.gap && head == ack.cumulative && tx.fast_resent != head && !suspected(m.to, m.from)) {
+    // The receiver holds a later segment and still waits for the head, so
+    // the head was most likely lost (a duplicate of a delivered segment
+    // sets no gap bit). Resend it now, once: the timer could take a whole
+    // rto_max, since a healed partition leaves the backoff at its cap.
+    // The timer keeps running.
+    tx.fast_resent = head;
+    transmit(m.to, m.from, tx, head);
     ++stats_.retransmissions;
   }
 }

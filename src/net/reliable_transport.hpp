@@ -9,8 +9,9 @@
 /// backoff capped at `rto_max`; the receiver delivers strictly in sequence
 /// order (buffering out-of-order arrivals, suppressing duplicates) and
 /// answers every data segment with a cumulative acknowledgement. An ack
-/// that repeats the oldest outstanding sequence number resends that
-/// segment at once, without waiting for the timer. The
+/// that names the oldest outstanding sequence number while the receiver
+/// buffers a later segment (its gap bit) resends that segment at once,
+/// once per retransmission round, without waiting for the timer. The
 /// dining/doorway/fork layers above see exactly the reliable FIFO channel
 /// the paper assumes — loss, duplication and reordering are absorbed here.
 ///
@@ -182,6 +183,11 @@ class ReliableTransport final : public ekbd::sim::Transport {
     Time rto = 0;              ///< current timeout (0 = not initialized)
     std::uint64_t timer_gen = 0;  ///< invalidates stale scheduled closures
     bool timer_armed = false;
+    /// The head last resent on a gap ack (kNoSeq: none since the last
+    /// retransmission round). A gap ack resends each head once per round,
+    /// so a burst of later segments, or a duplicate overtaking the head,
+    /// costs one resend rather than one per ack.
+    std::uint64_t fast_resent = kNoSeq;
     Time last_data_send = -1;
     /// Per-edge jitter stream, created on first arm (rto_jitter > 0 only):
     /// seeded from (jitter_seed, edge) so the stretch sequence depends on
@@ -189,6 +195,8 @@ class ReliableTransport final : public ekbd::sim::Transport {
     std::unique_ptr<ekbd::sim::Rng> jitter;
     std::vector<Time> armed_delays;  ///< instrumentation (see armed_delays())
   };
+
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
   /// Receiver half of one directed edge.
   struct EdgeRx {

@@ -211,8 +211,11 @@ struct DataSegment {
 };
 
 /// Cumulative acknowledgement: "I have delivered everything < cumulative".
+/// `gap` says the receiver also buffers a later segment, so the head is
+/// missing rather than duplicated. One word, so the codec packs it whole.
 struct AckSegment {
-  std::uint64_t cumulative = 0;
+  std::uint64_t cumulative : 63 = 0;
+  std::uint64_t gap : 1 = 0;
 };
 
 }  // namespace ekbd::net

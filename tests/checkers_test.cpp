@@ -10,6 +10,7 @@
 
 #include "dining/checkers.hpp"
 #include "graph/topology.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -373,6 +374,46 @@ TEST(Concurrency, CrashEndsOverlap) {
   auto r = ekbd::dining::concurrency_profile(t, g);
   EXPECT_EQ(r.max_concurrent_eaters, 2);  // 2 and 4 (0 died before)
   EXPECT_EQ(r.nonneighbor_overlaps, 1u);  // {2,4} only
+}
+
+/// The pairwise definition concurrency_profile counts in O(deg): every new
+/// eater against every current eater (itself included, if it is already
+/// eating), through ConflictGraph::adjacent.
+std::uint64_t pairwise_nonneighbor_overlaps(const Trace& t,
+                                            const ekbd::graph::ConflictGraph& g) {
+  std::uint64_t overlaps = 0;
+  std::set<ekbd::sim::ProcessId> eating;
+  for (const auto& e : t.events()) {
+    if (e.kind == kEat) {
+      for (const ekbd::sim::ProcessId q : eating) overlaps += g.adjacent(e.process, q) ? 0 : 1;
+      eating.insert(e.process);
+    } else if (e.kind == kExit || e.kind == kCrash) {
+      eating.erase(e.process);
+    }
+  }
+  return overlaps;
+}
+
+TEST(Concurrency, MatchesThePairwiseCountOnRandomTraces) {
+  ekbd::sim::Rng rng(2026);
+  for (int round = 0; round < 40; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(4, 44));
+    const auto g = ekbd::graph::random_sparse(n, 3.0, rng);
+    Trace t;
+    Time at = 0;
+    // Unchecked traces on purpose: repeated starts and stops without a
+    // start must count as the pairwise definition counts them.
+    for (int i = 0; i < 400; ++i) {
+      at += rng.uniform_int(0, 3);
+      const auto p = static_cast<ekbd::sim::ProcessId>(rng.index(n));
+      const std::int64_t roll = rng.uniform_int(0, 9);
+      t.record(at, p, roll < 5 ? kEat : roll < 9 ? kExit : kCrash);
+    }
+    t.set_end_time(at + 5);
+    const auto r = ekbd::dining::concurrency_profile(t, g);
+    EXPECT_EQ(r.nonneighbor_overlaps, pairwise_nonneighbor_overlaps(t, g)) << "round " << round;
+    EXPECT_GT(r.max_concurrent_eaters, 0);
+  }
 }
 
 TEST(Overtakes, ZeroCountObservationsPresent) {

@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -189,6 +190,44 @@ void check_lossy_engine(Engine engine) {
   }
 }
 
+/// Every logical message settles at most once: no (from, to, layer, seq)
+/// is both delivered and written off. A sender that gives up on a crashed
+/// peer drops only what it never sent, so a message whose ack was lost
+/// cannot be booked twice — on proc, where the receiver's books live in
+/// another process, as on sim and rt.
+template <typename S>
+void check_settles_once(Engine engine) {
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("lossy+crash seed " + std::to_string(seed));
+    Config cfg = cross_engine_config(engine);
+    cfg.seed = seed;
+    cfg.net_mode = sc::NetMode::kLossy;
+    cfg.link_faults.drop_prob = 0.3;
+    S s(cfg);
+    ekbd::sim::EventLog sim_log;
+    if constexpr (std::is_same_v<S, sc::Scenario>) s.sim().set_event_log(&sim_log);
+    s.run();
+    const sc::Books books = s.books();
+    ASSERT_NE(books.event_log, nullptr);
+    using Key = std::tuple<ekbd::sim::ProcessId, ekbd::sim::ProcessId, ekbd::sim::MsgLayer,
+                           std::uint64_t>;
+    std::set<Key> delivered;
+    std::set<Key> dropped;
+    for (const ekbd::sim::LoggedEvent& ev : books.event_log->events()) {
+      if (ev.layer == ekbd::sim::MsgLayer::kTransport) continue;  // physical segments
+      const Key key{ev.from, ev.to, ev.layer, ev.seq};
+      if (ev.kind == ekbd::sim::LoggedEvent::Kind::kDeliver) delivered.insert(key);
+      if (ev.kind == ekbd::sim::LoggedEvent::Kind::kDrop) dropped.insert(key);
+    }
+    EXPECT_FALSE(delivered.empty());
+    for (const Key& key : dropped) {
+      EXPECT_EQ(delivered.count(key), 0u)
+          << "message " << std::get<0>(key) << "->" << std::get<1>(key) << " seq "
+          << std::get<3>(key) << " booked delivered and dropped";
+    }
+  }
+}
+
 template <typename S>
 void check_engine(Engine engine) {
   const std::string path =
@@ -225,6 +264,7 @@ void check_engine(Engine engine) {
   std::remove(path.c_str());
 
   check_lossy_engine<S>(engine);
+  check_settles_once<S>(engine);
 }
 
 TEST(CrossEngine, SimBooksAgree) { check_engine<sc::Scenario>(Engine::kSim); }

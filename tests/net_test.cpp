@@ -258,6 +258,45 @@ TEST(ReliableTransport, DuplicateAckForTheHeadResendsItAtOnce) {
   EXPECT_EQ(arqs[0]->stats().retransmissions, 1u);
 }
 
+// The converse: a duplicate of a segment the receiver already delivered
+// draws a repeat of the same cumulative ack, but no later segment waits in
+// the receiver's buffer, so the ack's gap bit is clear and the head still
+// in flight is not resent.
+TEST(ReliableTransport, DuplicateOfADeliveredSegmentDrawsNoResend) {
+  /// Duplicates the first physical segment 0 sends (data segment 0).
+  class DuplicateFirstData final : public ekbd::sim::ChannelAdversary {
+   public:
+    FaultDecision on_send(ProcessId from, ProcessId, MsgLayer layer, Time) override {
+      FaultDecision d;
+      d.duplicate = !duplicated_ && from == 0 && layer == MsgLayer::kTransport;
+      duplicated_ = duplicated_ || d.duplicate;
+      return d;
+    }
+
+   private:
+    bool duplicated_ = false;
+  };
+
+  Simulator sim(1, ekbd::sim::make_fixed_delay(5));
+  sim.make_actor<IntSink>();
+  IntSink* sink = sim.make_actor<IntSink>();
+  DuplicateFirstData adversary;
+  sim.set_adversary(&adversary);
+  const auto arqs = install_arqs(sim, 2, ReliableTransport::Params{}, nullptr);
+  sim.start();
+  // Segment 0 and its copy land at t=6 and draw two acks of 1, which
+  // return at t=11 while segment 1 (sent at t=7) is still in flight.
+  sim.schedule(1, [&sim] { sim.send(0, 1, 0, MsgLayer::kOther); });
+  sim.schedule(7, [&sim] { sim.send(0, 1, 1, MsgLayer::kOther); });
+  sim.run_until(2'000);
+
+  ASSERT_EQ(sink->got, (std::vector<int>{0, 1}));
+  const ekbd::net::ArqStats stats = ekbd::net::sum_stats(arqs);
+  EXPECT_EQ(stats.duplicates_suppressed, 1u);
+  EXPECT_EQ(stats.retransmissions, 0u) << "a duplicate ack resent a head still in flight";
+  EXPECT_EQ(stats.physical_data_sends, 2u);
+}
+
 TEST(ReliableTransport, DetectorLayerStaysRaw) {
   Simulator sim(5);
   sim.make_actor<IntSink>();

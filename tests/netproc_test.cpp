@@ -58,7 +58,7 @@ Payload random_payload(std::size_t tag, Rng& rng) {
           rng.u64() & net::DataSegment::kMaxLogicalSeq,
           static_cast<Time>(rng.u64() >> 2), static_cast<std::uint8_t>(rng.u64() & 0x3F),
           rng.u64());
-    case 12: return net::AckSegment{rng.u64()};
+    case 12: return net::AckSegment{rng.u64(), rng.u64() & 1};
     case 13: return static_cast<int>(rng.uniform_int(-100000, 100000));
     case 14: return Datum{static_cast<std::int64_t>(rng.u64())};
     case 15: return core::EdgeProposal{static_cast<int>(rng.uniform_int(-1000, 1000))};
@@ -123,6 +123,31 @@ TEST(Codec, FuzzEveryPayloadTagRoundTripsBitIdentically) {
       EXPECT_EQ(std::memcmp(frame, again, size), 0)
           << "re-encoding diverged for tag " << tag;
     }
+  }
+}
+
+// The ack's gap bit shares the cumulative word and survives the wire.
+TEST(Codec, AckGapBitRoundTrips) {
+  for (const bool gap : {false, true}) {
+    Message m;
+    m.from = 1;
+    m.to = 0;
+    m.layer = MsgLayer::kTransport;
+    m.payload = net::AckSegment{(std::uint64_t{1} << 62) + 5, gap};
+    std::uint8_t frame[codec::kMaxFrameSize];
+    const std::size_t size = codec::encode_message(m, frame, sizeof frame);
+    ASSERT_GT(size, 0u);
+    std::uint8_t kind = 0;
+    const std::uint8_t* body = nullptr;
+    std::size_t body_len = 0;
+    ASSERT_EQ(codec::open_frame(frame, size, kind, body, body_len),
+              codec::DecodeStatus::kOk);
+    Message out;
+    ASSERT_EQ(codec::decode_message(body, body_len, out), codec::DecodeStatus::kOk);
+    const auto* ack = out.as<net::AckSegment>();
+    ASSERT_NE(ack, nullptr);
+    EXPECT_EQ(ack->cumulative, (std::uint64_t{1} << 62) + 5);
+    EXPECT_EQ(ack->gap, gap ? 1u : 0u);
   }
 }
 
