@@ -616,7 +616,7 @@ void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
         // does not recognize — goes to the actor.
         if (cell.transport != nullptr && buf[i].layer == sim::MsgLayer::kTransport &&
             cell.transport->on_physical_deliver(buf[i])) {
-          // handled by the shim
+          // consumed by the transport
         } else {
           a.on_message(buf[i]);
         }

@@ -275,7 +275,7 @@ template <typename EngineT>
     arqs.push_back(std::make_unique<ekbd::net::ReliableTransport>(engine, params, detector));
     slots.push_back(arqs.back().get());
   }
-  engine.set_transports(slots);
+  engine.set_transports(std::move(slots));
   return arqs;
 }
 

@@ -371,7 +371,8 @@ void Simulator::deliver(const Message& m) {
     emit(LoggedEvent{now_, LoggedEvent::Kind::kDeliver, m.from, m.to, m.layer,
                      m.seq, payload_tag(m.payload)});
   }
-  if (!transports_.empty() && transports_[static_cast<std::size_t>(m.to)]->on_physical_deliver(m)) {
+  if (!transports_.empty() &&
+      transports_[static_cast<std::size_t>(m.to)]->on_physical_deliver(m)) {
     return;
   }
   actors_[static_cast<std::size_t>(m.to)]->on_message(m);
