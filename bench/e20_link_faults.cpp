@@ -277,9 +277,11 @@ int main(int argc, char** argv) {
   }
 
   // CI treats a non-zero exit as a property regression. A row that loses
-  // and reorders nothing has no gap to repair: its acks never ask for a
-  // resend, so more than 1% retransmitted data segments is a regression
-  // too (a duplicate must not read as a lost head).
+  // and reorders nothing has no gap to repair, yet its acks can still ask
+  // for a resend: adversary duplicates are not held to FIFO order, so a
+  // copy of segment k+1 can overtake segment k and set the gap bit. The
+  // 1% bound allows for that; more retransmitted data segments means a
+  // duplicate of a delivered segment reads as a lost head again.
   for (const RowResult& res : results) {
     if (res.in_envelope && res.property_passes != res.seeds) return 1;
     const bool gapless = res.row->drop == 0 && res.row->reorder == 0 &&

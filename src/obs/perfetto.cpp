@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -81,15 +82,21 @@ std::string msg_name(const sim::LoggedEvent& ev) {
 }
 
 void render_log(const sim::EventLog& log, Emitter& em) {
+  // rt and proc number each sender's messages from 0, so (sender, seq) names
+  // a message; each name gets a dense flow id in order of first appearance.
+  std::map<std::pair<sim::ProcessId, std::uint64_t>, std::uint64_t> flow_ids;
+  const auto flow_id = [&](const sim::LoggedEvent& ev) {
+    return flow_ids.try_emplace({ev.from, ev.seq}, flow_ids.size()).first->second;
+  };
   for (const sim::LoggedEvent& ev : log.events()) {
     switch (ev.kind) {
       case sim::LoggedEvent::Kind::kSend:
         em.span(ev.at, 1, ev.from, "send " + msg_name(ev), "msg");
-        em.flow("s", ev.at, ev.from, msg_name(ev), ev.seq);
+        em.flow("s", ev.at, ev.from, msg_name(ev), flow_id(ev));
         break;
       case sim::LoggedEvent::Kind::kDeliver:
         em.span(ev.at, 1, ev.to, "recv " + msg_name(ev), "msg");
-        em.flow("f", ev.at, ev.to, msg_name(ev), ev.seq);
+        em.flow("f", ev.at, ev.to, msg_name(ev), flow_id(ev));
         break;
       case sim::LoggedEvent::Kind::kDrop:
         em.instant(ev.at, ev.to, "drop " + msg_name(ev), "fault");

@@ -5,7 +5,7 @@
 ///
 ///  * the simulator's `EventLog` — every message becomes a pair of tiny
 ///    slices (send on the sender's track, deliver on the recipient's)
-///    connected by a flow arrow keyed on the message's global seq;
+///    connected by a flow arrow keyed on the message's (sender, seq);
 ///    losses, drops and adversary duplicates become instants;
 ///  * the dining `Trace` — every hungry→eat session becomes a "hungry"
 ///    span and every eat→exit episode an "eat" span on the process's

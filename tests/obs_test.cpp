@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -717,6 +718,42 @@ TEST(Perfetto, ExportsSpansFlowsAndThreadNamesFromARealRun) {
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(nullptr, &s.trace())).has_value());
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(&log, nullptr)).has_value());
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(nullptr, nullptr)).has_value());
+}
+
+TEST(Perfetto, FlowArrowsKeyOnSenderAndSeq) {
+  // rt and proc number each sender's messages from 0: two senders' seq 0
+  // are two messages and must get two arrows, each joining its own pair.
+  using Kind = ekbd::sim::LoggedEvent::Kind;
+  ekbd::sim::EventLog log;
+  const auto add = [&](ekbd::sim::Time at, Kind kind, ekbd::sim::ProcessId from,
+                       ekbd::sim::ProcessId to) {
+    ekbd::sim::LoggedEvent ev;
+    ev.at = at;
+    ev.kind = kind;
+    ev.from = from;
+    ev.to = to;
+    ev.seq = 0;
+    log.append(ev);
+  };
+  add(1, Kind::kSend, 0, 1);
+  add(2, Kind::kSend, 1, 0);
+  add(3, Kind::kDeliver, 1, 0);
+  add(4, Kind::kDeliver, 0, 1);
+
+  const auto doc = json::parse(obs::chrome_trace_json(&log, nullptr));
+  ASSERT_TRUE(doc.has_value());
+  std::map<double, double> start_tid, end_tid;  // flow id -> track
+  for (const auto& ev : doc->find("traceEvents")->arr) {
+    const std::string ph = ev.find("ph")->str;
+    if (ph == "s") start_tid[ev.num_or("id", -1)] = ev.num_or("tid", -1);
+    if (ph == "f") end_tid[ev.num_or("id", -1)] = ev.num_or("tid", -1);
+  }
+  ASSERT_EQ(start_tid.size(), 2u);
+  ASSERT_EQ(end_tid.size(), 2u);
+  for (const auto& [id, from] : start_tid) {
+    ASSERT_EQ(end_tid.count(id), 1u);
+    EXPECT_EQ(end_tid[id], 1 - from);  // the arrow lands on the other process
+  }
 }
 
 }  // namespace
